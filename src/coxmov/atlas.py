@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bir import (BudgetError, GroupElementNF, PairClass, PsiWord,
+from .bir import (GroupElementNF, PairClass, PsiWord,
                   _require_infinite_order, eigen_pair, psi_from_t,
-                  t_normal_form, word_budget)
+                  reduced_walk, t_normal_form)
 from .coxeter import CoxeterSystem, Permutation
 from .exact import QuadExt
 from .linalg import Matrix, dot, primitive_int_vector, primitive_quad_vector
@@ -33,29 +33,10 @@ def word_matrix(sys: CoxeterSystem, letters) -> Matrix:
 def reduced_words(sys: CoxeterSystem, depth: int, budget: int | None = None):
     """All freely reduced t-words of length <= depth with their matrices,
     in breadth-first order (by length, then lexicographically)."""
-    if depth < 0:
-        raise ValueError("negative depth")
-    m = sys.m
-    cap = word_budget() if budget is None else budget
-    count, level = 1, m
-    for _ in range(depth):
-        count += level
-        level *= m - 1
-    if count > cap:
-        raise BudgetError(f"{count} words at depth {depth} exceed the budget {cap}")
-
-    frontier = [((), Matrix.identity(m))]
-    yield frontier[0]
-    for _ in range(depth):
-        nxt = []
-        for letters, mat in frontier:
-            last = letters[-1] if letters else None
-            for k in range(1, m + 1):
-                if k != last:
-                    item = (letters + (k,), mat * sys.t(k))
-                    nxt.append(item)
-                    yield item
-        frontier = nxt
+    letters = range(1, sys.m + 1)
+    return reduced_walk(letters, {k: k for k in letters},
+                        lambda mat, k: mat * sys.t(k),
+                        Matrix.identity(sys.m), depth, budget)
 
 
 @dataclass(frozen=True)

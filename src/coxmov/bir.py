@@ -41,6 +41,42 @@ def word_budget() -> int:
     return val
 
 
+def reduced_walk(alphabet, inverse, step, start, depth: int,
+                 budget: int | None = None):
+    """Breadth-first walk over the reduced words of length <= depth.
+
+    A word is reduced when no letter is followed by ``inverse[letter]``.
+    Yields ``(letters, state)`` by length, then in alphabet order, with
+    the empty word first; a word's state is ``step(parent_state, letter)``,
+    so each word costs one step.  Only the current frontier is kept.
+    Raises ``BudgetError`` before the first word when the word count
+    1 + A * sum_{k<depth} (A-1)^k exceeds the budget.
+    """
+    if depth < 0:
+        raise ValueError("negative depth")
+    size = len(alphabet)
+    cap = word_budget() if budget is None else budget
+    count, level = 1, size
+    for _ in range(depth):
+        count += level
+        level *= size - 1
+    if count > cap:
+        raise BudgetError(f"{count} words at depth {depth} exceed the budget {cap}")
+
+    frontier = [((), start)]
+    yield frontier[0]
+    for _ in range(depth):
+        nxt = []
+        for letters, state in frontier:
+            banned = inverse[letters[-1]] if letters else None
+            for x in alphabet:
+                if x != banned:
+                    item = (letters + (x,), step(state, x))
+                    nxt.append(item)
+                    yield item
+        frontier = nxt
+
+
 def _require_infinite_order(sys: CoxeterSystem):
     if sys.n < 2:
         raise ValueError("word operations need n >= 2 "
@@ -271,61 +307,30 @@ class FreeReport:
     collisions: int
 
 
-def _reduced_word_count(num_gens: int, depth: int) -> int:
-    # signed alphabet of size 2K, no letter followed by its inverse
-    total = 0
-    level = 2 * num_gens
-    for _ in range(depth):
-        total += level
-        level *= 2 * num_gens - 1
-    return total
-
-
 def verify_free(sys: CoxeterSystem, depth: int,
                 budget: int | None = None) -> FreeReport:
     """Enumerate all freely reduced psi-words of length <= depth and check
     pairwise distinctness of their normal forms.
 
     A free group of rank C(m, 2) admits no collision; the report returns
-    the number of words checked and the number of collisions found.
+    the number of nonempty words checked and the number of collisions found.
     """
     _require_infinite_order(sys)
-    if depth < 0:
-        raise ValueError("negative depth")
     m = sys.m
-    pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
-    cap = word_budget() if budget is None else budget
-    expected = _reduced_word_count(len(pairs), depth)
-    if expected > cap:
-        raise BudgetError(
-            f"{expected} words at depth {depth} exceed the budget {cap}")
-
-    gens = [(i, j, s) for (i, j) in pairs for s in (1, -1)]
+    gens = [(i, j, s) for i in range(1, m + 1) for j in range(i + 1, m + 1)
+            for s in (1, -1)]
     nf_gens = {g: _letter_nf(m, *g) for g in gens}
-    seen = {((), GroupElementNF.identity(m).perm.images)}
-    words_checked = 0
+    inverse = {(i, j, s): (i, j, -s) for (i, j, s) in gens}
+    seen = set()
     collisions = 0
-
-    def key(nf: GroupElementNF):
-        return (nf.letters, nf.perm.images)
-
-    stack = [(GroupElementNF.identity(m), None, 0)]
-    while stack:
-        nf, last, length = stack.pop()
-        if length >= depth:
-            continue
-        for g in gens:
-            if last is not None and g == (last[0], last[1], -last[2]):
-                continue
-            child = nf * nf_gens[g]
-            words_checked += 1
-            k = key(child)
-            if k in seen:
-                collisions += 1
-            else:
-                seen.add(k)
-            stack.append((child, g, length + 1))
-    return FreeReport(words_checked, collisions)
+    for _, nf in reduced_walk(gens, inverse, lambda nf, g: nf * nf_gens[g],
+                              GroupElementNF.identity(m), depth, budget):
+        key = (nf.letters, nf.perm.images)
+        if key in seen:
+            collisions += 1
+        else:
+            seen.add(key)
+    return FreeReport(len(seen) + collisions - 1, collisions)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ repeated runs with the same inputs produce byte-identical output.
 Exit codes: 0 success, 2 usage or parameter error (with an error JSON on
 stderr), 3 domain failure (classification walk hit its step cap).
 The only environment knob is COXMOV_WORD_BUDGET, the global cap on
-enumerated words (default 10^6).
+enumerated words (default 10^6) for chambers, boundary, symmetric and the
+freeness check.
 """
 
 from __future__ import annotations
@@ -143,26 +144,21 @@ def cmd_boundary(args) -> int:
 
 def cmd_symmetric(args) -> int:
     base = symmetric.base_system()
-    if args.depth < 0:
-        raise CommandError("negative depth")
-    if args.layer == "movable":
-        items = symmetric.sym_enumerate(args.depth)
-        if args.format == "json":
-            _write(jsonio.dumps(jsonio.symmetric_document(args.depth,
-                                                          "movable", items)),
-                   args.out)
+    try:
+        if args.layer == "movable":
+            items = symmetric.sym_enumerate(args.depth)
         else:
-            cfg = _render_config(args)
-            _write(svgplot.render_symmetric_movable(items, base, cfg), args.out)
+            items = symmetric.psef_patches(args.depth)
+    except (ValueError, BudgetError) as exc:
+        raise CommandError(str(exc)) from exc
+    if args.format == "json":
+        _write(jsonio.dumps(jsonio.symmetric_document(args.depth, args.layer,
+                                                      items)), args.out)
     else:
-        items = symmetric.psef_patches(args.depth)
-        if args.format == "json":
-            _write(jsonio.dumps(jsonio.symmetric_document(args.depth,
-                                                          "psef", items)),
-                   args.out)
-        else:
-            cfg = _render_config(args)
-            _write(svgplot.render_symmetric_psef(items, base, cfg), args.out)
+        cfg = _render_config(args)
+        render = (svgplot.render_symmetric_movable if args.layer == "movable"
+                  else svgplot.render_symmetric_psef)
+        _write(render(items, base, cfg), args.out)
     return EXIT_OK
 
 

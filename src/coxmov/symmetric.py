@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .atlas import isotropy_value
-from .bir import psi_matrix
+from .bir import psi_matrix, reduced_walk
 from .coxeter import CoxeterSystem, Permutation, build_system, perm_matrix
 from .linalg import Matrix, dot, primitive_int_vector
 
@@ -144,24 +144,42 @@ class SymWord:
         return ".".join(parts)
 
 
+_SYM_INVERSE = {"a": "a", "b": "B", "B": "b"}
+
+
+def _append(word: SymWord, ch: str) -> SymWord:
+    # a reduced word never cancels: a 'b'/'B' extends a b-syllable of its
+    # own sign, anything else opens a syllable
+    syl = word.syllables
+    if ch == "a":
+        return SymWord(syl + (("a", 1),))
+    step = 1 if ch == "b" else -1
+    if syl and syl[-1][0] == "b":
+        return SymWord(syl[:-1] + (("b", syl[-1][1] + step),))
+    return SymWord(syl + (("b", step),))
+
+
 def sym_words(depth: int):
     """All freely reduced words over {a, b, b^-1} of letter length <= depth,
     as SymWord normal forms, breadth-first."""
-    if depth < 0:
-        raise ValueError("negative depth")
-    frontier = [""]
-    yield SymWord.identity()
-    for _ in range(depth):
-        nxt = []
-        for w in frontier:
-            last = w[-1] if w else None
-            for ch in "abB":
-                if (last == "a" and ch == "a") or \
-                   (last == "b" and ch == "B") or (last == "B" and ch == "b"):
-                    continue
-                nxt.append(w + ch)
-                yield SymWord.from_letters(w + ch)
-        frontier = nxt
+    for _, word in reduced_walk("abB", _SYM_INVERSE, _append,
+                                SymWord.identity(), depth):
+        yield word
+
+
+def _sym_walk(depth: int):
+    """(SymWord, matrix) of every reduced word, in the order of sym_words."""
+    a, b = sym_generators()
+    gens = {"a": a, "b": b, "B": b.inverse()}
+
+    def step(state, ch):
+        word, mat = state
+        return _append(word, ch), mat * gens[ch]
+
+    for _, state in reduced_walk("abB", _SYM_INVERSE, step,
+                                 (SymWord.identity(), Matrix.identity(3)),
+                                 depth):
+        yield state
 
 
 @dataclass(frozen=True)
@@ -184,8 +202,7 @@ def sym_enumerate(depth: int) -> list[SymChamber]:
     base = sym_fundamental_domain()
     seen = set()
     out = []
-    for word in sym_words(depth):
-        mat = word.matrix()
+    for word, mat in _sym_walk(depth):
         rays = tuple(primitive_int_vector(mat * r) for r in base)
         key = tuple(sorted(rays))
         if key in seen:
@@ -238,9 +255,7 @@ def psef_patches(depth: int) -> list[PsefPatch]:
         seen.add(key)
         out.append(PsefPatch(word, label, rays, status))
 
-    for word in sym_words(depth):
-        mat = word.matrix()
-
+    for word, mat in _sym_walk(depth):
         def g(v, mat=mat):
             image = mat * v
             assert all(x.denominator == 1 for x in image)

@@ -48,6 +48,10 @@ def test_enumerate_chambers_guards():
         enumerate_chambers(build_system(1, 5), 2)
     with pytest.raises(BudgetError):
         enumerate_chambers(S23, 30, budget=100)
+    # m = 3, depth 4: 1 + 3 + 6 + 12 + 24 words
+    assert len(enumerate_chambers(S23, 4, budget=46)) == 46
+    with pytest.raises(BudgetError, match="^46 words at depth 4"):
+        enumerate_chambers(S23, 4, budget=45)
 
 
 def test_classify_interior_of_nef():

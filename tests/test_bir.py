@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+from coxmov.atlas import reduced_words, word_matrix
 from coxmov.bir import (BudgetError, GroupElementNF, PairClass, PsiWord,
                         aut_codimension, eigen_pair, flop_pullback,
                         free_reduce, prefix_check, psi_from_t, psi_matrix,
-                        psi_word_matrix, swap_identity_holds, t_normal_form,
-                        verify_free)
+                        psi_word_matrix, reduced_walk, swap_identity_holds,
+                        t_normal_form, verify_free)
 from coxmov.coxeter import Permutation, build_system
 from coxmov.exact import QuadExt
 from coxmov.linalg import Matrix
@@ -167,6 +168,31 @@ def _all_reduced_words(m, depth):
         level = nxt
 
 
+def test_reduced_walk_matches_brute_force():
+    for m in (3, 4):
+        letters = range(1, m + 1)
+        walk = list(reduced_walk(letters, {k: k for k in letters},
+                                 lambda state, k: state + 1, 0, 4))
+        assert [w for w, _ in walk] == list(_all_reduced_words(m, 4))
+        assert all(state == len(w) for w, state in walk)
+    with pytest.raises(ValueError, match="negative depth"):
+        next(reduced_walk("ab", {"a": "b", "b": "a"}, None, None, -1))
+
+
+def test_reduced_walk_states_are_folds():
+    for s in (S23, build_system(3, 4)):
+        for letters, mat in reduced_words(s, 3):
+            assert mat == word_matrix(s, letters)
+    gens = [(i, j, e) for (i, j) in ((1, 2), (1, 3), (2, 3)) for e in (1, -1)]
+    nf_gens = {g: t_normal_form(S23, PsiWord((g,))) for g in gens}
+    walk = list(reduced_walk(gens, {(i, j, e): (i, j, -e) for i, j, e in gens},
+                             lambda nf, g: nf * nf_gens[g],
+                             GroupElementNF.identity(3), 3))
+    assert len(walk) == 1 + 6 + 30 + 150
+    for letters, nf in walk:
+        assert nf == t_normal_form(S23, PsiWord(letters))
+
+
 def test_psi_from_t_chamber_containment():
     # the residual (psi-word)^{-1} * w must be a marking: t-length <= 1
     for s in (S23, S33):
@@ -216,6 +242,10 @@ def test_verify_free_counts():
     assert rep34.collisions == 0
     with pytest.raises(BudgetError):
         verify_free(S23, 12, budget=1000)
+    # the budget counts the empty word: 1 + 6 + 30 words at depth 2
+    assert verify_free(S23, 2, budget=37).words_checked == 36
+    with pytest.raises(BudgetError, match="^37 words at depth 2"):
+        verify_free(S23, 2, budget=36)
 
 
 def test_free_product_by_matrices():

@@ -1,5 +1,9 @@
 import json
 from fractions import Fraction
+from pathlib import Path
+
+import jsonschema
+import pytest
 
 from coxmov import jsonio
 from coxmov.atlas import boundary_patches, classify, enumerate_chambers
@@ -7,6 +11,10 @@ from coxmov.bir import PsiWord
 from coxmov.cli import main
 from coxmov.coxeter import build_system
 from coxmov.exact import QuadExt
+
+
+SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "schema"
+                     / "coxmov.schema.json").read_text(encoding="utf-8"))
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +63,25 @@ def test_cli_system(capsys):
     assert doc["generators"][0] == [["-1", "0", "0"], ["2", "1", "0"],
                                     ["2", "0", "1"]]
     assert doc["quadric"] == [["0", "1", "1"], ["1", "0", "1"], ["1", "1", "0"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ("system", "--n", "2", "--m", "3"),
+    ("chambers", "--n", "2", "--m", "3", "--depth", "3"),
+    ("classify", "--n", "2", "--m", "3", "--class", "-1,4,5"),
+    ("boundary", "--n", "3", "--m", "3", "--depth", "1"),
+    ("symmetric", "--depth", "3"),
+    ("symmetric", "--layer", "psef", "--depth", "2"),
+    ("verify", "--suite", "symmetric"),
+])
+def test_cli_json_matches_schema(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.Draft7Validator(SCHEMA).validate(doc)
+    body = {"definitions": SCHEMA["definitions"],
+            "$ref": f"#/definitions/{argv[0]}_body"}
+    jsonschema.Draft7Validator(body).validate(doc)
 
 
 def test_cli_system_range_error(capsys):
@@ -222,3 +249,8 @@ def test_budget_env_var(capsys, monkeypatch):
                            "--depth", "4")
     assert code == 2
     assert "budget" in json.loads(err)["error"]["message"]
+    for layer in ("movable", "psef"):
+        code, _, err = run_cli(capsys, "symmetric", "--layer", layer,
+                               "--depth", "3")
+        assert code == 2
+        assert "budget" in json.loads(err)["error"]["message"]

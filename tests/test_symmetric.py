@@ -1,12 +1,14 @@
+from itertools import product
+
 import pytest
 
 from coxmov.atlas import fundamental_domain, isotropy_value
 from coxmov.bir import psi_matrix
 from coxmov.linalg import Matrix, primitive_int_vector
-from coxmov.symmetric import (SymWord, base_system, d_classes, psef_patches,
-                              sym_enumerate, sym_fundamental_domain,
-                              sym_generators, sym_relation_check, sym_words,
-                              tangent_line)
+from coxmov.symmetric import (SymWord, _sym_walk, base_system, d_classes,
+                              psef_patches, sym_enumerate,
+                              sym_fundamental_domain, sym_generators,
+                              sym_relation_check, sym_words, tangent_line)
 
 A_GOLDEN = Matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
 B_GOLDEN = Matrix([[-2, 0, -3], [6, 1, 12], [3, 0, 4]])
@@ -102,6 +104,19 @@ def test_sym_words():
     assert SymWord.from_letters("aa").syllables == ()
     with pytest.raises(ValueError):
         SymWord.from_letters("x")
+
+
+def test_sym_walk_matches_letter_words():
+    # brute force: every string over a, b, B without aa, bB or Bb, by
+    # length and then in alphabet order
+    strings = ("".join(w) for k in range(6) for w in product("abB", repeat=k))
+    brute = [w for w in strings if not any(p in w for p in ("aa", "bB", "Bb"))]
+    words = list(sym_words(5))
+    assert words == [SymWord.from_letters(w) for w in brute]
+    walk = list(_sym_walk(5))
+    assert [w for w, _ in walk] == words
+    for word, mat in walk:
+        assert mat == word.matrix()
 
 
 def test_no_collisions_to_depth_six():
