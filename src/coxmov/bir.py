@@ -18,7 +18,7 @@ from enum import Enum
 
 from .coxeter import CoxeterSystem, Permutation, perm_matrix
 from .exact import QuadExt, quad_roots
-from .linalg import Matrix, nullspace_vector, primitive_quad_vector
+from .linalg import Matrix, primitive_quad_vector
 
 DEFAULT_WORD_BUDGET = 10 ** 6
 BUDGET_ENV_VAR = "COXMOV_WORD_BUDGET"
@@ -356,24 +356,23 @@ def eigen_pair(sys: CoxeterSystem, i: int, j: int):
 
     For n >= 3 returns the EigenPair for the root lambda > 1 of
     x^2 - (n^2 - 2)x + 1; for n = 2 and n = 1 returns the matching
-    PairClass marker (unipotent, finite order).
+    PairClass marker (unipotent, finite order).  t_i * t_j maps c_i, c_j
+    (c_k = n*ones - (n+2)*e_k) by [[n^2-1, -n], [n, -1]], so the vector,
+    scaled to last coordinate 1, is (lambda+1)*c_i + n*c_j made primitive.
     """
     if i == j:
         raise ValueError("need two distinct indices")
-    n = sys.n
+    n, m = sys.n, sys.m
     if n == 1:
         return PairClass.FINITE_ORDER
     if n == 2:
         return PairClass.UNIPOTENT
+    if not (1 <= i <= m and 1 <= j <= m):
+        raise IndexError(f"generator index out of range 1..{m}")
     lam, _ = quad_roots(-(n * n - 2), 1)
-    prod = sys.t(i) * sys.t(j)
-    shifted = Matrix([[QuadExt(e) - lam if r == c else QuadExt(e)
-                       for c, e in enumerate(row)]
-                      for r, row in enumerate(prod.rows)])
-    vec = nullspace_vector(shifted)
-    if vec is None:
-        raise ArithmeticError("eigenvalue computation produced no kernel")
-    return EigenPair(lam, primitive_quad_vector(vec))
+    vec = [(lam + 1) * (n - (n + 2) * (r == i)) + n * (n - (n + 2) * (r == j))
+           for r in range(1, m + 1)]
+    return EigenPair(lam, primitive_quad_vector([v / vec[-1] for v in vec]))
 
 
 def aut_codimension(n: int, m: int) -> int:

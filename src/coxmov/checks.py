@@ -94,7 +94,7 @@ def suite_identities(n=None, m=None) -> dict:
                 "Q*ones == (1-n(m-1)/2)*ones", params, s.gram_eigen_check()))
             checks.append(_check(
                 "lorentzian-flag", "lorentzian <=> 1 - n*(m-1)/2 < 0", params,
-                s.lorentzian == (1 - Fraction(nn * (mm - 1), 2) < 0)))
+                s.lorentzian == (s.gram.signature() == (mm - 1, 1, 0))))
             if nn == 1:
                 checks.append(_check(
                     "braid-order", "(t_i*t_j)^3 == I for n == 1", params,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -59,9 +60,13 @@ def _render_config(args) -> svgplot.RenderConfig:
     cfg = svgplot.RenderConfig()
     cfg.depth = getattr(args, "depth", cfg.depth)
     if getattr(args, "viewport", None):
-        parts = [float(x) for x in args.viewport.split(",")]
-        if len(parts) != 4:
-            raise CommandError("viewport needs four comma-separated numbers")
+        try:
+            parts = [float(x) for x in args.viewport.split(",")]
+        except ValueError:
+            parts = []
+        if len(parts) != 4 or not all(map(math.isfinite, parts)) or min(parts[2:]) <= 0:
+            raise CommandError("viewport needs four comma-separated finite "
+                               "numbers x,y,width,height, width and height > 0")
         cfg.viewport = tuple(parts)
     if getattr(args, "palette", None):
         if args.palette not in svgplot.PALETTES:

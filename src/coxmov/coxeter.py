@@ -5,7 +5,10 @@ m the number of factors / the Picard rank -- the group is generated by m
 involutions whose Gram matrix has unit diagonal and constant off-diagonal
 entries -n/2.  This module builds the Gram matrix, the reflection matrices
 in both the primal and the dual basis, permutation matrices, the invariant
-integral quadric, and the Lorentzian signature data.
+integral quadric, and the Lorentzian signature data, the last two in closed
+form: G = (1 + n/2)*I - (n/2)*J (J all ones) has eigenvalues 1 + n/2 > 0 and
+1 - n(m-1)/2, so it has signature (m-1, 1, 0) iff n(m-1) > 2, is singular iff
+n(m-1) = 2, and else has an inverse proportional to (2 - n(m-1))*I + n*J.
 
 Interfaces are 1-based throughout, matching the hyperplane classes
 H_1, ..., H_m; storage is 0-based internally.
@@ -15,8 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .linalg import Matrix, primitive_int_vector
+from .linalg import Matrix
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,7 @@ class CoxeterSystem:
         self.n = n
         self.m = m
         self.gram = gram
-        self.lorentzian = gram.signature() == (m - 1, 1, 0)
+        self.lorentzian = n * (m - 1) > 2
         self._dual_cache: dict[int, Matrix] = {}
         self._quadric: Matrix | None = None
 
@@ -158,29 +162,20 @@ class CoxeterSystem:
     def quadric_matrix(self) -> Matrix:
         """Primitive integral matrix of the invariant quadric.
 
-        The quadric carried by the inverse Gram matrix, rescaled to a
-        primitive integer matrix.  Sign normalization: diagonal entries
-        >= 0 when the diagonal is nonzero (so the standard basis rays
-        evaluate >= 0), with the all-ones vector evaluating > 0 as the
-        tie-break for a vanishing diagonal.
+        The inverse Gram matrix is a multiple of (2 - n(m-1))*I + n*J, so
+        with d = 2 - n(m-2) this is s*(d*I + n*(J - I)) / gcd(d, n), where
+        s = -1 if d < 0 and +1 otherwise: the standard basis rays evaluate
+        >= 0, and the all-ones vector > 0 when d = 0.  Raises
+        ValueError("singular matrix") when n(m-1) = 2.
         """
         if self._quadric is None:
-            inv = self.gram.inverse()      # ValueError when degenerate
-            flat = [e for row in inv.rows for e in row]
-            ints = primitive_int_vector(flat)
-            m = self.m
-            mat = [list(ints[r * m:(r + 1) * m]) for r in range(m)]
-            diag = next((mat[i][i] for i in range(m) if mat[i][i] != 0), None)
-            if diag is not None:
-                sign = 1 if diag > 0 else -1
-            else:
-                ones_val = sum(sum(row) for row in mat)
-                if ones_val != 0:
-                    sign = 1 if ones_val > 0 else -1
-                else:
-                    first = next(e for row in mat for e in row if e != 0)
-                    sign = 1 if first > 0 else -1
-            self._quadric = Matrix([[sign * e for e in row] for row in mat])
+            n, m = self.n, self.m
+            if n * (m - 1) == 2:
+                raise ValueError("singular matrix")
+            d = 2 - n * (m - 2)
+            g = gcd(d, n) * (-1 if d < 0 else 1)
+            self._quadric = Matrix([[(d if r == c else n) // g for c in range(m)]
+                                    for r in range(m)])
         return self._quadric
 
     def gram_eigen_check(self) -> bool:

@@ -10,7 +10,7 @@ from coxmov.bir import (BudgetError, GroupElementNF, PairClass, PsiWord,
                         t_normal_form, verify_free)
 from coxmov.coxeter import Permutation, build_system
 from coxmov.exact import QuadExt
-from coxmov.linalg import Matrix
+from coxmov.linalg import Matrix, nullspace_vector, primitive_quad_vector
 
 S23 = build_system(2, 3)
 S33 = build_system(3, 3)
@@ -295,6 +295,27 @@ def test_eigen_pair_markers():
 
 
 def test_eigen_pair_exact():
+    # the closed-form eigenvector against a kernel vector of the shifted
+    # product, for every ordered pair, including i > j and i = m
+    for n in range(3, 8):
+        for m in range(3, 6):
+            s = build_system(n, m)
+            for i in range(1, m + 1):
+                for j in range(1, m + 1):
+                    if i == j:
+                        continue
+                    data = eigen_pair(s, i, j)
+                    shifted = Matrix([[QuadExt(e) - data.value if r == c
+                                       else QuadExt(e)
+                                       for c, e in enumerate(row)]
+                                      for r, row in enumerate(
+                                          (s.t(i) * s.t(j)).rows)])
+                    oracle = primitive_quad_vector(nullspace_vector(shifted))
+                    assert data.vector == oracle, (n, m, i, j)
+    with pytest.raises(IndexError):
+        eigen_pair(S33, 1, 4)
+    with pytest.raises(IndexError):
+        eigen_pair(S33, 0, 2)
     data = eigen_pair(S33, 1, 2)
     from fractions import Fraction
     assert data.value == QuadExt(Fraction(7, 2), Fraction(3, 2), 5)

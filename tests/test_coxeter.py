@@ -7,7 +7,7 @@ from coxmov.bir import psi_matrix
 from coxmov.coxeter import (CoxeterSystem, Permutation, build_system,
                             dual_reflection_from_gram, perm_matrix,
                             reflection_from_gram)
-from coxmov.linalg import Matrix
+from coxmov.linalg import Matrix, primitive_int_vector
 
 # rank-3 system with all off-diagonal Gram entries -2 and its six
 # generator matrices, used as the golden test for the generic constructor
@@ -105,7 +105,38 @@ def test_permutation_basics():
     assert Permutation.transposition(4, 1, 3).sign() == -1
 
 
+def _quadric_by_inverse(s):
+    """The quadric by elimination: the Gauss-Jordan inverse of the Gram
+    matrix, made primitive, with the diagonal >= 0 when it is nonzero and
+    the all-ones value > 0 as the tie-break."""
+    inv = s.gram.inverse()
+    ints = primitive_int_vector([e for row in inv.rows for e in row])
+    m = s.m
+    mat = [list(ints[r * m:(r + 1) * m]) for r in range(m)]
+    diag = next((mat[i][i] for i in range(m) if mat[i][i] != 0), None)
+    if diag is not None:
+        sign = 1 if diag > 0 else -1
+    else:
+        ones_val = sum(sum(row) for row in mat)
+        if ones_val != 0:
+            sign = 1 if ones_val > 0 else -1
+        else:
+            first = next(e for row in mat for e in row if e != 0)
+            sign = 1 if first > 0 else -1
+    return Matrix([[sign * e for e in row] for row in mat])
+
+
 def test_quadric_golden():
+    for n in range(1, 8):
+        for m in range(2, 10):
+            s = build_system(n, m)
+            if (n, m) in ((1, 3), (2, 2)):
+                with pytest.raises(ValueError, match="singular matrix"):
+                    _quadric_by_inverse(s)
+                with pytest.raises(ValueError, match="singular matrix"):
+                    s.quadric_matrix()
+                continue
+            assert s.quadric_matrix() == _quadric_by_inverse(s), (n, m)
     s = build_system(2, 3)
     m = s.quadric_matrix()
     assert m == Matrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
@@ -145,6 +176,7 @@ def test_lorentzian_condition():
         for m in range(2, 7):
             s = build_system(n, m)
             assert s.lorentzian == (1 - Fraction(n * (m - 1), 2) < 0)
+            assert s.lorentzian == (s.gram.signature() == (m - 1, 1, 0))
 
 
 def test_braid_order_n1():

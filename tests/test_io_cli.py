@@ -82,6 +82,11 @@ def test_cli_json_matches_schema(capsys, argv):
     body = {"definitions": SCHEMA["definitions"],
             "$ref": f"#/definitions/{argv[0]}_body"}
     jsonschema.Draft7Validator(body).validate(doc)
+    if argv[0] == "chambers":
+        # the root schema reaches the command's body definition
+        doc["count"] = "x"
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.Draft7Validator(SCHEMA).validate(doc)
 
 
 def test_cli_system_range_error(capsys):
@@ -238,9 +243,13 @@ def test_cli_viewport_and_palette(capsys):
     code, _, err = run_cli(capsys, "chambers", "--n", "2", "--m", "3",
                            "--format", "svg", "--palette", "nope")
     assert code == 2
-    code, _, err = run_cli(capsys, "chambers", "--n", "2", "--m", "3",
-                           "--format", "svg", "--viewport", "1,2,3")
-    assert code == 2
+    for bad in ("1,2,3", "a,b,c,d", "0,0,0,0", "0,0,nan,5", "0,0,-1,5",
+                "0,inf,450,400", "0,0,450,400,1"):
+        code, out, err = run_cli(capsys, "chambers", "--n", "2", "--m", "3",
+                                 "--format", "svg", "--viewport", bad)
+        assert code == 2, bad
+        assert out == ""
+        assert "viewport" in json.loads(err)["error"]["message"]
 
 
 def test_budget_env_var(capsys, monkeypatch):
