@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -263,3 +264,167 @@ def test_budget_env_var(capsys, monkeypatch):
                                "--depth", "3")
         assert code == 2
         assert "budget" in json.loads(err)["error"]["message"]
+
+
+# -- golden output digests ----------------------------------------------------
+# sha256 of stdout, the stderr text and the exit code of each run, recorded
+# from the CLI as it stood before the output path was unified; any change to
+# an output byte fails here.  Each row: argv, COXMOV_WORD_BUDGET, digest,
+# stderr, exit code.
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+GOLDEN = [
+    ('system --n 2 --m 3', None,
+     'a9b097cc7addb7e0833d5cfe6e6da7fc7512114d12f12d617309145d07c4741e',
+     '', 0),
+    ('system --n 2 --m 4', None,
+     '221704d7b341cc56a34f7fbabd7615017821eff18e324abfebd35b7051cf457a',
+     '', 0),
+    ('system --n 3 --m 3', None,
+     'aa1b5dba96e967de3cc4061eb6ea1d4a2c9eaacb14cfa65e4c64dfa3035af3ea',
+     '', 0),
+    ('system --n 3 --m 4', None,
+     'cc91c7c01b56003c882c053a7716d0ab0cea2196b83fa0a63ac00efab4d4e3b5',
+     '', 0),
+    ('system --n 4 --m 3', None,
+     '6ce0ed7375bc4814e5a706b657c70adf388dfdb0b311d4d9baea30028ca74e28',
+     '', 0),
+    ('system --n 4 --m 4', None,
+     '763dd034d26d96124023e76e453a54d85f6e3a727340cee0d627bfc0b5b10101',
+     '', 0),
+    ('system --n 1 --m 3', None,
+     EMPTY,
+     ('{"error": {"code": 2, "message": "parameters (1, 3) violate '
+      'n*m - (n+1) >= 3"}}\n'), 2),
+    ('system --n 2 --m 2', None,
+     EMPTY,
+     ('{"error": {"code": 2, "message": "parameters (2, 2) violate '
+      'n*m - (n+1) >= 3"}}\n'), 2),
+    ('chambers --n 2 --m 3 --depth 0', None,
+     '249dd2f7d13881cd8eef9096e86a6f3cc27884bc254d0b01c4728c2a26573785',
+     '', 0),
+    ('chambers --n 2 --m 3 --depth 1', None,
+     '1776b2ebc1523e3b094a3e8f997b79de73bcb365d649b60e4aeed181a0e3b85f',
+     '', 0),
+    ('chambers --n 2 --m 3 --depth 2', None,
+     '31cb7f0ac2efe987f9f2d7809f144e73894ef69b02fe4d5257080403b0e3f5f2',
+     '', 0),
+    ('chambers --n 2 --m 3 --depth 3', None,
+     'b9c4891b94da63d86e6b3d455c7c30c5b12bdf4749d7c1f5c9094d27a7d7ebd7',
+     '', 0),
+    ('chambers --n 2 --m 3 --depth -1', None,
+     EMPTY,
+     '{"error": {"code": 2, "message": "negative depth"}}\n', 2),
+    ('chambers --n 2 --m 3 --depth 3 --format svg', None,
+     '89d40ff9b4dcc16cc92fdba0ad2ea6c780de5f5dfced8b915eab0a641b58ee81',
+     '', 0),
+    ('chambers --n 2 --m 3 --depth 3 --format svg --labels', None,
+     '994863ab5098807c17862dd4cb817c6423d00523f9bf98dc2424b51b985d3a5d',
+     '', 0),
+    ('chambers --n 2 --m 3 --depth 3 --format svg --viewport 0,0,450,400', None,
+     '0c3a7312de0a7476926adf55500480b54d9f6d26908a8e96c611577ae48d9487',
+     '', 0),
+    ('chambers --n 2 --m 4 --depth 2 --format svg', None,
+     EMPTY,
+     '{"error": {"code": 2, "message": "svg output needs m = 3"}}\n', 2),
+    ('boundary --n 2 --m 3 --depth 2', None,
+     '39a9bf7d1bc2a45a7915256b6957b6704787b2e4dca08ec73f89e147921de308',
+     '', 0),
+    ('boundary --n 2 --m 3 --depth 2 --format svg', None,
+     'ceeb883ccecb4c6ac804b75c63da73d038a3c1bdf7a6b1fbe3ca391283731e81',
+     '', 0),
+    ('boundary --n 3 --m 3 --depth 2', None,
+     '41458072e00921a6a63683ce6ab1651c8857c4a0ded139b8ad273bcb40a5f249',
+     '', 0),
+    ('boundary --n 3 --m 3 --depth 2 --format svg', None,
+     '33ffee8e1c8b4362ac073ab718d1c0af58c0bcbfd34c8a314930781c30fa4347',
+     '', 0),
+    ('boundary --n 5 --m 3 --depth 2', None,
+     'c812facd93db45eebb1b16469665cb95d0da022c256430d75a44543e13b70b6c',
+     '', 0),
+    ('boundary --n 5 --m 3 --depth 2 --format svg', None,
+     '4bbdf6b39a5bee5ca1fdba494c1527f551e7ab9392ce64526e0d7f9be8ec6ef2',
+     '', 0),
+    ('boundary --n 1 --m 5 --depth 0', None,
+     EMPTY,
+     ('{"error": {"code": 2, "message": "the boundary sampling is d'
+      'efined for n >= 2 only; the n = 1 systems accumulate differe'
+      'ntly and are not described here"}}\n'), 2),
+    ('symmetric --layer movable --depth 0', None,
+     'ead6b465e855e75b781eb38026ccfb81885ec84a843551f35f6a0d7a0148e99b',
+     '', 0),
+    ('symmetric --layer movable --depth 0 --format svg', None,
+     '31429a401a6c0eedee6ad522da5d0edf9bc8a3e06ff954cca512dc723e7e61b4',
+     '', 0),
+    ('symmetric --layer movable --depth 0 --format svg --labels', None,
+     '31429a401a6c0eedee6ad522da5d0edf9bc8a3e06ff954cca512dc723e7e61b4',
+     '', 0),
+    ('symmetric --layer movable --depth 3', None,
+     '2f9bad7545796b223466e5ab094ed428b1319b401987c586e1cdcf1d5eb3f81f',
+     '', 0),
+    ('symmetric --layer movable --depth 3 --format svg', None,
+     '4cde0212bb0059fe9b48f47be0e00d26664855f1d474efa88df355561772e63f',
+     '', 0),
+    ('symmetric --layer movable --depth 3 --format svg --labels', None,
+     '4cde0212bb0059fe9b48f47be0e00d26664855f1d474efa88df355561772e63f',
+     '', 0),
+    ('symmetric --layer psef --depth 0', None,
+     'b5f00c488081d5ae16074caf192874dea049ad753a6c39d50f92c3a5ffafab58',
+     '', 0),
+    ('symmetric --layer psef --depth 0 --format svg', None,
+     '203c2eb94e0d46ad84d5a186d7acd2685a4d06dc5715ce4baf17d34759353be4',
+     '', 0),
+    ('symmetric --layer psef --depth 0 --format svg --labels', None,
+     '1b8f53b984750e5b563b89d2856378e337a301e1cf291dcef7d163106bc49287',
+     '', 0),
+    ('symmetric --layer psef --depth 3', None,
+     '3ca3332326327ffcef62aa05fc41432b0744c2351ce91627dc28478472a37598',
+     '', 0),
+    ('symmetric --layer psef --depth 3 --format svg', None,
+     'ecebb0f53fda13c1be5d755345d4d5c53fe54a45a2b9c6489a0157f11e454dbc',
+     '', 0),
+    ('symmetric --layer psef --depth 3 --format svg --labels', None,
+     'c066935aa079c69099aa771bc83cd2ea2b1d4c693529411df4f88e39fe6aecee',
+     '', 0),
+    ('classify --n 2 --m 3 --class -1,4,5', None,
+     'e6a296b241d2d2e984ba4cf13751a32bc135b7164a1a0497eb3d9a7722f0219b',
+     '', 0),
+    ('classify --n 2 --m 3 --class -1,-1,-1 --max-steps 40', None,
+     EMPTY,
+     ('{"error": {"code": 3, "message": "classification failed: no '
+      'nonnegative iterate within 40 steps (class outside the tiled'
+      ' cone, or cap too small)", "steps": 40, "last_iterate": ["25'
+      '888898137807319", "-67778015256063421", "-41889117118256101"'
+      ']}}\n'), 3),
+    ('classify --n 2 --m 3 --class 1,zebra,1', None,
+     EMPTY,
+     ('{"error": {"code": 2, "message": "malformed class string: In'
+      'valid literal for Fraction: \'zebra\'"}}\n'), 2),
+    ('chambers --n 2 --m 3 --format svg --palette nope', None,
+     EMPTY,
+     '{"error": {"code": 2, "message": "unknown palette \'nope\'"}}\n', 2),
+    ('chambers --n 2 --m 3 --format svg --viewport 0,0,0,0', None,
+     EMPTY,
+     ('{"error": {"code": 2, "message": "viewport needs four comma-'
+      'separated finite numbers x,y,width,height, width and height '
+      '> 0"}}\n'), 2),
+    ('verify --suite symmetric', None,
+     '348d20da011d9d595810a043f7b636a9ab0546c27928042b28bede40c7082d17',
+     '', 0),
+    ('chambers --n 2 --m 3 --depth 4', '10',
+     EMPTY,
+     ('{"error": {"code": 2, "message": "46 words at depth 4 exceed'
+      ' the budget 10"}}\n'), 2),
+]
+
+
+@pytest.mark.parametrize("argv,budget,digest,err,code", GOLDEN,
+                         ids=[row[0] for row in GOLDEN])
+def test_cli_golden_digests(capsys, monkeypatch, argv, budget, digest, err,
+                            code):
+    if budget is not None:
+        monkeypatch.setenv("COXMOV_WORD_BUDGET", budget)
+    got_code, out, got_err = run_cli(capsys, *argv.split())
+    assert (hashlib.sha256(out.encode()).hexdigest(), got_err, got_code) == \
+        (digest, err, code)
