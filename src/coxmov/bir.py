@@ -15,9 +15,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 from .coxeter import CoxeterSystem, Permutation, perm_matrix
-from .exact import QuadExt, quad_roots
+from .exact import QuadExt, squarefree_decompose
 from .linalg import Matrix, primitive_quad_vector
 
 DEFAULT_WORD_BUDGET = 10 ** 6
@@ -369,7 +370,10 @@ def eigen_pair(sys: CoxeterSystem, i: int, j: int):
         return PairClass.UNIPOTENT
     if not (1 <= i <= m and 1 <= j <= m):
         raise IndexError(f"generator index out of range 1..{m}")
-    lam, _ = quad_roots(-(n * n - 2), 1)
+    # lambda = ((n^2-2) + n*sqrt((n-2)(n+2)))/2: factor (n-2)(n+2), not
+    # the discriminant n^2(n^2-4)
+    s, d = squarefree_decompose((n - 2) * (n + 2))
+    lam = QuadExt(Fraction(n * n - 2, 2), Fraction(n * s, 2), d)
     vec = [(lam + 1) * (n - (n + 2) * (r == i)) + n * (n - (n + 2) * (r == j))
            for r in range(1, m + 1)]
     return EigenPair(lam, primitive_quad_vector([v / vec[-1] for v in vec]))

@@ -22,7 +22,6 @@ from fractions import Fraction
 from . import checks, jsonio, svgplot, symmetric
 from .atlas import (ClassificationError, boundary_patches, classify,
                     enumerate_chambers, fundamental_domain)
-from .bir import BudgetError
 from .coxeter import build_system
 
 EXIT_OK = 0
@@ -49,17 +48,9 @@ def _write(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _build(n: int, m: int):
-    try:
-        return build_system(n, m, enforce_dimension_bound=True)
-    except ValueError as exc:
-        raise CommandError(str(exc)) from exc
-
-
 def _render_config(args) -> svgplot.RenderConfig:
-    cfg = svgplot.RenderConfig()
-    cfg.depth = getattr(args, "depth", cfg.depth)
-    if getattr(args, "viewport", None):
+    cfg = svgplot.RenderConfig(labels=args.labels)
+    if args.viewport:
         try:
             parts = [float(x) for x in args.viewport.split(",")]
         except ValueError:
@@ -68,16 +59,27 @@ def _render_config(args) -> svgplot.RenderConfig:
             raise CommandError("viewport needs four comma-separated finite "
                                "numbers x,y,width,height, width and height > 0")
         cfg.viewport = tuple(parts)
-    if getattr(args, "palette", None):
+    if args.palette:
         if args.palette not in svgplot.PALETTES:
             raise CommandError(f"unknown palette {args.palette!r}")
         cfg.palette = args.palette
-    cfg.labels = bool(getattr(args, "labels", False))
     return cfg
 
 
+def _emit(args, document, render, chart_ok=True):
+    """Write ``document()`` as JSON, or with --format svg the picture
+    ``render(config)``; the chart picture is refused unless ``chart_ok``."""
+    if args.format == "json":
+        text = jsonio.dumps(document())
+    elif not chart_ok:
+        raise CommandError("svg output needs m = 3")
+    else:
+        text = render(_render_config(args))
+    _write(text, args.out)
+
+
 def cmd_system(args) -> int:
-    sys_ = _build(args.n, args.m)
+    sys_ = build_system(args.n, args.m, enforce_dimension_bound=True)
     try:
         doc = jsonio.system_document(sys_)
     except ValueError as exc:
@@ -87,24 +89,16 @@ def cmd_system(args) -> int:
 
 
 def cmd_chambers(args) -> int:
-    sys_ = _build(args.n, args.m)
-    try:
-        chambers = enumerate_chambers(sys_, args.depth)
-    except (ValueError, BudgetError) as exc:
-        raise CommandError(str(exc)) from exc
-    if args.format == "json":
-        _write(jsonio.dumps(jsonio.chambers_document(sys_, args.depth, chambers)),
-               args.out)
-    else:
-        if args.m != 3:
-            raise CommandError("svg output needs m = 3")
-        cfg = _render_config(args)
-        _write(svgplot.render_chambers(sys_, chambers, cfg), args.out)
+    sys_ = build_system(args.n, args.m, enforce_dimension_bound=True)
+    chambers = enumerate_chambers(sys_, args.depth)
+    _emit(args, lambda: jsonio.chambers_document(sys_, args.depth, chambers),
+          lambda cfg: svgplot.render_chambers(sys_, chambers, cfg),
+          args.m == 3)
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
-    sys_ = _build(args.n, args.m)
+    sys_ = build_system(args.n, args.m, enforce_dimension_bound=True)
     try:
         coords = tuple(Fraction(part) for part in args.divisor.split(","))
     except (ValueError, ZeroDivisionError) as exc:
@@ -118,60 +112,39 @@ def cmd_classify(args) -> int:
                     steps=exc.steps,
                     last_iterate=[str(x) for x in exc.last_iterate])
         return EXIT_DOMAIN
-    except ValueError as exc:
-        raise CommandError(str(exc)) from exc
     _write(jsonio.dumps(jsonio.classify_document(sys_, coords, result)),
            args.out)
     return EXIT_OK
 
 
 def cmd_boundary(args) -> int:
-    sys_ = _build(args.n, args.m)
+    sys_ = build_system(args.n, args.m, enforce_dimension_bound=True)
     if args.n < 2:
         raise CommandError(
             "the boundary sampling is defined for n >= 2 only; the n = 1 "
             "systems accumulate differently and are not described here")
-    try:
-        patches = boundary_patches(sys_, args.depth)
-    except (ValueError, BudgetError) as exc:
-        raise CommandError(str(exc)) from exc
-    if args.format == "json":
-        _write(jsonio.dumps(jsonio.boundary_document(sys_, args.depth, patches)),
-               args.out)
-    else:
-        if args.m != 3:
-            raise CommandError("svg output needs m = 3")
-        cfg = _render_config(args)
-        _write(svgplot.render_boundary(sys_, fundamental_domain(sys_),
-                                       patches, cfg), args.out)
+    patches = boundary_patches(sys_, args.depth)
+    _emit(args, lambda: jsonio.boundary_document(sys_, args.depth, patches),
+          lambda cfg: svgplot.render_boundary(sys_, fundamental_domain(sys_),
+                                              patches, cfg),
+          args.m == 3)
     return EXIT_OK
 
 
 def cmd_symmetric(args) -> int:
-    base = symmetric.base_system()
-    try:
-        if args.layer == "movable":
-            items = symmetric.sym_enumerate(args.depth)
-        else:
-            items = symmetric.psef_patches(args.depth)
-    except (ValueError, BudgetError) as exc:
-        raise CommandError(str(exc)) from exc
-    if args.format == "json":
-        _write(jsonio.dumps(jsonio.symmetric_document(args.depth, args.layer,
-                                                      items)), args.out)
+    if args.layer == "movable":
+        items = symmetric.sym_enumerate(args.depth)
+        render = svgplot.render_symmetric_movable
     else:
-        cfg = _render_config(args)
-        render = (svgplot.render_symmetric_movable if args.layer == "movable"
-                  else svgplot.render_symmetric_psef)
-        _write(render(items, base, cfg), args.out)
+        items = symmetric.psef_patches(args.depth)
+        render = svgplot.render_symmetric_psef
+    _emit(args, lambda: jsonio.symmetric_document(args.depth, args.layer, items),
+          lambda cfg: render(items, symmetric.base_system(), cfg))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        report = checks.run_suites(args.suite, args.n, args.m)
-    except ValueError as exc:
-        raise CommandError(str(exc)) from exc
+    report = checks.run_suites(args.suite, args.n, args.m)
     doc = jsonio.document("verify", {"suite": args.suite, "n": args.n,
                                      "m": args.m}, report)
     _write(jsonio.dumps(doc), args.out)
@@ -269,6 +242,10 @@ def main(argv=None) -> int:
     except CommandError as exc:
         _emit_error(str(exc), exc.code)
         return exc.code
+    except ValueError as exc:
+        # parameter errors from the library, BudgetError included
+        _emit_error(str(exc), EXIT_USAGE)
+        return EXIT_USAGE
 
 
 def entrypoint():

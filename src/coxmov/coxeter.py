@@ -156,7 +156,12 @@ class CoxeterSystem:
         """Generator matrix in the dual basis: identity with column i
         replaced by (n, ..., n, -1, n, ..., n)^T."""
         if i not in self._dual_cache:
-            self._dual_cache[i] = self.tau(i).transpose()
+            m, n = self.m, self.n
+            if not 1 <= i <= m:
+                raise IndexError(f"generator index {i} out of range 1..{m}")
+            self._dual_cache[i] = Matrix(
+                [[(-1 if r == i else n) if c == i else int(r == c)
+                  for c in range(1, m + 1)] for r in range(1, m + 1)])
         return self._dual_cache[i]
 
     def quadric_matrix(self) -> Matrix:

@@ -46,7 +46,9 @@ class QuadExt:
     The radicand d is kept squarefree and >= 0; purely rational values are
     normalized to d = 0.  Mixing two genuinely irrational values with
     different radicands raises ``ValueError`` -- a single field per
-    computation context is all that is ever needed here.
+    computation context is all that is ever needed here.  The constructor
+    normalizes its input; arithmetic results, whose radicand is already
+    squarefree, are built by ``_reduced`` without factoring it again.
     """
 
     __slots__ = ("a", "b", "d")
@@ -71,6 +73,13 @@ class QuadExt:
         self.b = b
         self.d = d
 
+    @classmethod
+    def _reduced(cls, a: Fraction, b: Fraction, d: int) -> "QuadExt":
+        """a + b*sqrt(d) for a squarefree d that is 0 or > 1."""
+        q = object.__new__(cls)
+        q.a, q.b, q.d = a, b, (d if b else 0)
+        return q
+
     # -- helpers -------------------------------------------------------
 
     @property
@@ -83,7 +92,7 @@ class QuadExt:
         return self.a
 
     def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.d)
+        return QuadExt._reduced(self.a, -self.b, self.d)
 
     def _lift(self, other) -> "QuadExt | None":
         if isinstance(other, QuadExt):
@@ -103,12 +112,13 @@ class QuadExt:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self.a + o.a, self.b + o.b, self._radicand_with(o))
+        return QuadExt._reduced(self.a + o.a, self.b + o.b,
+                                self._radicand_with(o))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return QuadExt._reduced(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         o = self._lift(other)
@@ -127,8 +137,8 @@ class QuadExt:
         if o is None:
             return NotImplemented
         d = self._radicand_with(o)
-        return QuadExt(self.a * o.a + self.b * o.b * d,
-                       self.a * o.b + self.b * o.a, d)
+        return QuadExt._reduced(self.a * o.a + self.b * o.b * d,
+                                self.a * o.b + self.b * o.a, d)
 
     __rmul__ = __mul__
 
@@ -136,7 +146,7 @@ class QuadExt:
         nrm = self.a * self.a - self.b * self.b * self.d
         if nrm == 0:
             raise ZeroDivisionError("division by zero in quadratic field")
-        return QuadExt(self.a / nrm, -self.b / nrm, self.d)
+        return QuadExt._reduced(self.a / nrm, -self.b / nrm, self.d)
 
     def __truediv__(self, other):
         o = self._lift(other)

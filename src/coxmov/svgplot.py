@@ -34,7 +34,6 @@ PALETTES = {
 
 @dataclass
 class RenderConfig:
-    depth: int = 4
     viewport: tuple[float, float, float, float] = (0.0, 0.0, 900.0, 800.0)
     palette: str = "default"
     labels: bool = False
@@ -139,15 +138,21 @@ def conic_ellipse(sys: CoxeterSystem, config: RenderConfig) -> str | None:
             f'stroke-dasharray="7 5"/>')
 
 
-def _header(config: RenderConfig) -> list[str]:
+def _document(sys: CoxeterSystem, config: RenderConfig, under: list[str],
+              over: list[str]) -> str:
+    """The SVG document: background, the ``under`` elements, the quadric
+    (when the chart section is an ellipse), then the ``over`` elements."""
     vx, vy, w, h = config.viewport
-    return [
+    conic = conic_ellipse(sys, config)
+    lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
          f'viewBox="{fnum(vx)} {fnum(vy)} {fnum(w)} {fnum(h)}">'),
         (f'<rect x="{fnum(vx)}" y="{fnum(vy)}" width="{fnum(w)}" '
          f'height="{fnum(h)}" fill="{config.colors()["background"]}"/>'),
+        *under, *([conic] if conic else []), *over, "</svg>",
     ]
+    return "\n".join(lines) + "\n"
 
 
 def _chamber_style(word_len: int, colors: dict) -> tuple[str, float]:
@@ -165,20 +170,16 @@ def render_chambers(sys: CoxeterSystem, chambers, config: RenderConfig) -> str:
         raise ValueError("chart rendering needs m = 3")
     colors = config.colors()
     corners = config.corners()
-    lines = _header(config)
+    under, over = [], []
     for ch in sorted(chambers, key=lambda c: -len(c.word)):
         pts = [chart_xy(r, corners) for r in ch.rays]
         fill, opacity = _chamber_style(len(ch.word), colors)
-        lines.append(polygon(pts, fill, opacity, colors["edge"], 0.75))
-    conic = conic_ellipse(sys, config)
-    if conic:
-        lines.append(conic)
+        under.append(polygon(pts, fill, opacity, colors["edge"], 0.75))
     if config.labels:
         for name, ray in (("H1", (1, 0, 0)), ("H2", (0, 1, 0)), ("H3", (0, 0, 1))):
             x, y = chart_xy(ray, corners)
-            lines.append(text((x + 8, y - 8), name, colors["label"]))
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+            over.append(text((x + 8, y - 8), name, colors["label"]))
+    return _document(sys, config, under, over)
 
 
 def render_boundary(sys: CoxeterSystem, fundamental, patches,
@@ -190,25 +191,21 @@ def render_boundary(sys: CoxeterSystem, fundamental, patches,
         raise ValueError("chart rendering needs m = 3")
     colors = config.colors()
     corners = config.corners()
-    lines = _header(config)
+    under, over = [], []
     for ch in fundamental:
         pts = [chart_xy(r, corners) for r in ch.rays]
-        fill, opacity = _chamber_style(len(ch.word), colors)
-        lines.append(polygon(pts, fill, 0.25, colors["edge"], 0.75))
-    conic = conic_ellipse(sys, config)
-    if conic:
-        lines.append(conic)
+        fill, _ = _chamber_style(len(ch.word), colors)
+        under.append(polygon(pts, fill, 0.25, colors["edge"], 0.75))
     for p in patches:
         ray_pts = [chart_xy(r, corners) for r in p.base_rays]
         if p.has_apex:
             apex_pt = chart_xy(p.apex, corners)
             for rp in ray_pts:
-                lines.append(segment(apex_pt, rp, colors["proven"], 1.5))
-            lines.append(disc(apex_pt, 3.0, colors["apex"]))
+                over.append(segment(apex_pt, rp, colors["proven"], 1.5))
+            over.append(disc(apex_pt, 3.0, colors["apex"]))
         for rp in ray_pts:
-            lines.append(disc(rp, 2.5, colors["nef"]))
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+            over.append(disc(rp, 2.5, colors["nef"]))
+    return _document(sys, config, under, over)
 
 
 def render_symmetric_movable(cones, sys: CoxeterSystem,
@@ -216,20 +213,12 @@ def render_symmetric_movable(cones, sys: CoxeterSystem,
     """Quadrilateral tiling of the movable cone in the symmetric case."""
     colors = config.colors()
     corners = config.corners()
-    lines = _header(config)
+    under = []
     for cone in sorted(cones, key=lambda c: -c.word.syllable_length):
         pts = [chart_xy(r, corners) for r in cone.rays]
-        depth = cone.word.syllable_length
-        if depth == 0:
-            fill, opacity = colors["fundamental"], 0.8
-        else:
-            fill, opacity = colors["orbit"], max(0.08, 0.5 * (0.72 ** (depth - 1)))
-        lines.append(polygon(pts, fill, opacity, colors["edge"], 0.75))
-    conic = conic_ellipse(sys, config)
-    if conic:
-        lines.append(conic)
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        fill, opacity = _chamber_style(cone.word.syllable_length + 1, colors)
+        under.append(polygon(pts, fill, opacity, colors["edge"], 0.75))
+    return _document(sys, config, under, [])
 
 
 def render_symmetric_psef(patches, sys: CoxeterSystem,
@@ -238,27 +227,19 @@ def render_symmetric_psef(patches, sys: CoxeterSystem,
     boundary segments and the conjectural cones glued tangentially."""
     colors = config.colors()
     corners = config.corners()
-    lines = _header(config)
+    under, over = [], []
     for p in patches:
-        if p.status != "expected":
-            continue
         pts = [chart_xy(r, corners) for r in p.rays]
-        lines.append(polygon(pts, colors["expected"], 0.3, colors["expected"], 0.5))
-    conic = conic_ellipse(sys, config)
-    if conic:
-        lines.append(conic)
-    for p in patches:
-        if p.status != "proven":
-            continue
-        pts = [chart_xy(r, corners) for r in p.rays]
-        lines.append(segment(pts[0], pts[1], colors["proven"], 2.0))
-        for pt in pts:
-            lines.append(disc(pt, 2.5, colors["proven"]))
+        if p.status == "expected":
+            under.append(polygon(pts, colors["expected"], 0.3,
+                                 colors["expected"], 0.5))
+        elif p.status == "proven":
+            over.append(segment(pts[0], pts[1], colors["proven"], 2.0))
+            over.extend(disc(pt, 2.5, colors["proven"]) for pt in pts)
     if config.labels:
         from .symmetric import d_classes
         d1, d2 = d_classes()
         for name, cls in (("D1", d1), ("D2", d2)):
             x, y = chart_xy(cls, corners)
-            lines.append(text((x + 8, y - 8), name, colors["label"]))
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+            over.append(text((x + 8, y - 8), name, colors["label"]))
+    return _document(sys, config, under, over)

@@ -170,7 +170,7 @@ def sym_words(depth: int):
 def _sym_walk(depth: int):
     """(SymWord, matrix) of every reduced word, in the order of sym_words."""
     a, b = sym_generators()
-    gens = {"a": a, "b": b, "B": b.inverse()}
+    gens = {"a": a, "b": b, "B": psi_matrix(base_system(), 3, 1)}
 
     def step(state, ch):
         word, mat = state

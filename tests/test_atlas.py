@@ -181,6 +181,28 @@ def test_boundary_patches_n3():
     assert lifted * pair12.apex == tuple(lam * x for x in pair12.apex)
 
 
+def test_boundary_factors_radicand_once_per_pair(monkeypatch):
+    # arithmetic on apexes never factors the radicand again, so the number
+    # of squarefree decompositions does not grow with the depth
+    import coxmov
+    calls = []
+    original = coxmov.exact.squarefree_decompose
+
+    def counting(k):
+        calls.append(k)
+        return original(k)
+
+    for mod in vars(coxmov).values():
+        if getattr(mod, "squarefree_decompose", None) is original:
+            monkeypatch.setattr(mod, "squarefree_decompose", counting)
+    counts = []
+    for depth in (0, 2):
+        calls.clear()
+        boundary_patches(build_system(6, 3), depth)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def test_boundary_apexes_isotropic_at_depth():
     for p in boundary_patches(S33, 2):
         assert isotropy_value(S33, p.apex) == QuadExt(0)

@@ -9,7 +9,7 @@ from coxmov.bir import (BudgetError, GroupElementNF, PairClass, PsiWord,
                         psi_word_matrix, reduced_walk, swap_identity_holds,
                         t_normal_form, verify_free)
 from coxmov.coxeter import Permutation, build_system
-from coxmov.exact import QuadExt
+from coxmov.exact import QuadExt, quad_roots
 from coxmov.linalg import Matrix, nullspace_vector, primitive_quad_vector
 
 S23 = build_system(2, 3)
@@ -312,6 +312,12 @@ def test_eigen_pair_exact():
                                           (s.t(i) * s.t(j)).rows)])
                     oracle = primitive_quad_vector(nullspace_vector(shifted))
                     assert data.vector == oracle, (n, m, i, j)
+    # the eigenvalue from the radicand (n-2)(n+2) against the larger root
+    # of x^2 - (n^2-2)x + 1 from its full discriminant n^2(n^2-4)
+    for n in list(range(3, 61)) + [200003, 10000019]:
+        value = eigen_pair(build_system(n, 3), 1, 2).value
+        oracle = quad_roots(-(n * n - 2), 1)[0]
+        assert (value.a, value.b, value.d) == (oracle.a, oracle.b, oracle.d), n
     with pytest.raises(IndexError):
         eigen_pair(S33, 1, 4)
     with pytest.raises(IndexError):

@@ -66,8 +66,8 @@ def test_family_reflections():
     s = build_system(2, 3)
     assert s.t(1) == Matrix([[-1, 0, 0], [2, 1, 0], [2, 0, 1]])
     ident = Matrix.identity(3)
-    for n in (1, 2, 3, 4):
-        for m in (2, 3, 4):
+    for n in range(1, 8):
+        for m in range(2, 10):
             sys_ = build_system(n, m)
             for i in range(1, m + 1):
                 tau = sys_.tau(i)

@@ -75,6 +75,10 @@ def test_quad_roots_golden():
         quad_roots(0, 1)
 
 
+def _fields(x):
+    return x.a, x.b, x.d
+
+
 def test_quad_roots_satisfy_equation():
     rng = random.Random(9)
     for _ in range(200):
@@ -84,6 +88,10 @@ def test_quad_roots_satisfy_equation():
             continue
         for r in quad_roots(b, c):
             assert r * r + b * r + c == QuadExt(0)
+            # arithmetic results carry the fields the constructor would give
+            for x in (r * r, r + b, -r, r - r, r.conjugate(), r * r.conjugate(),
+                      r / (r + 1) if r + 1 else r, r ** 3):
+                assert (x.a, x.b, x.d) == _fields(QuadExt(x.a, x.b, x.d))
     r1, r2 = quad_roots(-7, 1)
     assert r1 * r2 == QuadExt(1)
     assert r1 >= r2
