@@ -141,6 +141,44 @@ def test_sym_enumerate():
     assert len(keys) == 4
 
 
+def test_sym_enumerate_one_cone_per_word():
+    # every reduced word over {a, b, b^-1} gives its own cone: the count is
+    # the word count 3 * 2^d - 2 and no two cones share a ray set
+    for depth in range(9):
+        cones = sym_enumerate(depth)
+        assert len(cones) == 3 * 2 ** depth - 2
+        assert [c.word for c in cones] == list(sym_words(depth))
+        assert len({c.ray_key() for c in cones}) == len(cones)
+
+
+def _psef_by_dedup(depth):
+    # oracle: all five pieces of every translate, keeping the first
+    # (breadth-first) piece of each ray set
+    d1, d2 = d_classes()
+    pieces = (("segment-d1-d2", (d1, d2), "proven"),
+              ("segment-d1-tangent", (d1, (-1, 2, 2)), "proven"),
+              ("segment-d2-tangent", (d2, (2, -1, 2)), "proven"),
+              ("glued-cone-d1", ((0, 0, 1), d1, (-1, 2, 2)), "expected"),
+              ("glued-cone-d2", ((0, 0, 1), d2, (2, -1, 2)), "expected"))
+    seen, out = set(), []
+    for word, mat in _sym_walk(depth):
+        for label, rays, status in pieces:
+            image = tuple(tuple(int(x) for x in mat * r) for r in rays)
+            key = tuple(sorted(image))
+            if key not in seen:
+                seen.add(key)
+                out.append((word, label, image, status))
+    return out
+
+
+def test_psef_patches_match_dedup_oracle():
+    for depth in range(9):
+        patches = psef_patches(depth)
+        assert [(p.word, p.label, p.rays, p.status)
+                for p in patches] == _psef_by_dedup(depth)
+        assert len(patches) == 5 * 2 ** (depth + 1) - 5
+
+
 def _strictly_inside(point, rays):
     k = len(rays)
     for idx in range(k):
