@@ -6,6 +6,11 @@ effective movable cone; chambers are indexed by freely reduced t-words.
 This module enumerates that tiling, classifies divisor classes to a marked
 minimal model by walking back to the fundamental region, and samples the
 boundary (apex eigenvectors over the quadratic field plus rational rays).
+
+Every t-word listing walks the m integer columns of the word matrix:
+t_k is the identity with column k replaced by (n, ..., n, -1, n, ..., n),
+so appending t_k rewrites column k only, to n*(rowsum - col_k) - col_k.
+These matrices have determinant +-1, so their columns are primitive rays.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from .bir import (GroupElementNF, PairClass, PsiWord,
                   reduced_walk, t_normal_form)
 from .coxeter import CoxeterSystem, Permutation
 from .exact import QuadExt
-from .linalg import Matrix, dot, primitive_int_vector, primitive_quad_vector
+from .linalg import Matrix, dot, primitive_quad_vector
 
 DEFAULT_MAX_STEPS = 1000
 
@@ -30,13 +35,27 @@ def word_matrix(sys: CoxeterSystem, letters) -> Matrix:
     return out
 
 
+def _t_columns(sys: CoxeterSystem, depth: int, budget: int | None = None):
+    """``(letters, cols)`` for each reduced t-word of length <= depth, in
+    ``reduced_walk`` order: the m integer columns of the word matrix, where
+    appending t_k sets col_k to n*(rowsum - col_k) - col_k."""
+    n, m = sys.n, sys.m
+
+    def step(cols, k):
+        new = tuple(n * (sum(row) - c) - c for row, c in zip(zip(*cols), cols[k - 1]))
+        return cols[:k - 1] + (new,) + cols[k:]
+
+    letters = range(1, m + 1)
+    identity = tuple(tuple(int(r == c) for r in range(m)) for c in range(m))
+    return reduced_walk(letters, {k: k for k in letters}, step, identity,
+                        depth, budget)
+
+
 def reduced_words(sys: CoxeterSystem, depth: int, budget: int | None = None):
     """All freely reduced t-words of length <= depth with their matrices,
     in breadth-first order (by length, then lexicographically)."""
-    letters = range(1, sys.m + 1)
-    return reduced_walk(letters, {k: k for k in letters},
-                        lambda mat, k: mat * sys.t(k),
-                        Matrix.identity(sys.m), depth, budget)
+    for letters, cols in _t_columns(sys, depth, budget):
+        yield letters, Matrix.from_columns(cols)
 
 
 @dataclass(frozen=True)
@@ -56,26 +75,19 @@ class Chamber:
         return tuple(sum(r[k] for r in self.rays) for k in range(len(self.rays[0])))
 
 
-def _chamber_from_matrix(mat: Matrix, word, model=None) -> Chamber:
-    rays = tuple(primitive_int_vector(col) for col in mat.columns())
-    return Chamber(rays, tuple(word), model)
-
-
 def fundamental_domain(sys: CoxeterSystem) -> list[Chamber]:
     """The m+1 chambers whose union is one fundamental region: the nef
     cone (model 0) and its m flop images t_i . Nef (model i)."""
-    out = [_chamber_from_matrix(Matrix.identity(sys.m), (), 0)]
-    for i in range(1, sys.m + 1):
-        out.append(_chamber_from_matrix(sys.t(i), (i,), i))
-    return out
+    return [Chamber(cols, letters, letters[0] if letters else 0)
+            for letters, cols in _t_columns(sys, 1, sys.m + 1)]
 
 
 def enumerate_chambers(sys: CoxeterSystem, depth: int,
                        budget: int | None = None) -> list[Chamber]:
     """One chamber per freely reduced t-word of length <= depth."""
     _require_infinite_order(sys)
-    return [_chamber_from_matrix(mat, letters)
-            for letters, mat in reduced_words(sys, depth, budget)]
+    return [Chamber(cols, letters)
+            for letters, cols in _t_columns(sys, depth, budget)]
 
 
 class ClassificationError(Exception):
@@ -159,10 +171,6 @@ class BoundaryPatch:
         return any(bool(x) for x in self.apex)
 
 
-def _apex_key(apex):
-    return tuple((x.a, x.b, x.d) for x in apex)
-
-
 def boundary_patches(sys: CoxeterSystem, depth: int,
                      budget: int | None = None) -> list[BoundaryPatch]:
     """Boundary cones of the movable cone, sampled to word length ``depth``.
@@ -184,16 +192,15 @@ def boundary_patches(sys: CoxeterSystem, depth: int,
     zero_apex = tuple(QuadExt(0) for _ in range(m))
     seen = set()
     out: list[BoundaryPatch] = []
-    for letters, mat in reduced_words(sys, depth, budget):
+    for letters, cols in _t_columns(sys, depth, budget):
+        rows = tuple(zip(*cols))
         for (i, j) in pairs:
-            base = tuple(sorted(primitive_int_vector(mat.column(k))
+            base = tuple(sorted(cols[k - 1]
                                 for k in range(1, m + 1) if k not in (i, j)))
             vec = apexes[(i, j)]
-            if vec is None:
-                apex = zero_apex
-            else:
-                apex = primitive_quad_vector(mat * vec)
-            key = (_apex_key(apex), base)
+            apex = zero_apex if vec is None else primitive_quad_vector(
+                tuple(dot(row, vec) for row in rows))
+            key = (tuple((x.a, x.b, x.d) for x in apex), base)
             if key in seen:
                 continue
             seen.add(key)

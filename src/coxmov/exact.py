@@ -256,7 +256,8 @@ def sqrt_exact(x: Rational) -> QuadExt:
     if x < 0:
         raise ValueError("negative radicand")
     s, d = squarefree_decompose(x.numerator * x.denominator)
-    return QuadExt(0, Fraction(s, x.denominator), d)
+    b = Fraction(s, x.denominator)
+    return QuadExt(b * d) if d <= 1 else QuadExt._reduced(Fraction(0), b, d)
 
 
 def quad_roots(b: Rational, c: Rational) -> tuple[QuadExt, QuadExt]:

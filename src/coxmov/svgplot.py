@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .atlas import project_affine
 from .coxeter import CoxeterSystem
+from .symmetric import d_classes
 
 PALETTES = {
     "default": {
@@ -155,6 +156,18 @@ def _document(sys: CoxeterSystem, config: RenderConfig, under: list[str],
     return "\n".join(lines) + "\n"
 
 
+def _labels(config: RenderConfig, named) -> list[str]:
+    """A text label beside each ``(name, ray)`` when labels are on."""
+    if not config.labels:
+        return []
+    corners, color = config.corners(), config.colors()["label"]
+    out = []
+    for name, ray in named:
+        x, y = chart_xy(ray, corners)
+        out.append(text((x + 8, y - 8), name, color))
+    return out
+
+
 def _chamber_style(word_len: int, colors: dict) -> tuple[str, float]:
     if word_len == 0:
         return colors["nef"], 0.85
@@ -163,23 +176,26 @@ def _chamber_style(word_len: int, colors: dict) -> tuple[str, float]:
     return colors["orbit"], max(0.08, 0.5 * (0.72 ** (word_len - 2)))
 
 
+def _tiling(sys: CoxeterSystem, config: RenderConfig, tiles) -> str:
+    """``(level, rays)`` tiles as polygons, deepest first, styled by
+    ``_chamber_style(level)``, with the H1-H3 labels over the quadric."""
+    colors, corners = config.colors(), config.corners()
+    under = []
+    for level, rays in sorted(tiles, key=lambda tile: -tile[0]):
+        fill, opacity = _chamber_style(level, colors)
+        under.append(polygon([chart_xy(r, corners) for r in rays], fill,
+                             opacity, colors["edge"], 0.75))
+    hyperplanes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return _document(sys, config, under,
+                     _labels(config, zip(("H1", "H2", "H3"), hyperplanes)))
+
+
 def render_chambers(sys: CoxeterSystem, chambers, config: RenderConfig) -> str:
     """Chamber tiling in the chart: nef cone and fundamental region
     highlighted, orbit depth encoded by fill opacity, quadric overlaid."""
     if sys.m != 3:
         raise ValueError("chart rendering needs m = 3")
-    colors = config.colors()
-    corners = config.corners()
-    under, over = [], []
-    for ch in sorted(chambers, key=lambda c: -len(c.word)):
-        pts = [chart_xy(r, corners) for r in ch.rays]
-        fill, opacity = _chamber_style(len(ch.word), colors)
-        under.append(polygon(pts, fill, opacity, colors["edge"], 0.75))
-    if config.labels:
-        for name, ray in (("H1", (1, 0, 0)), ("H2", (0, 1, 0)), ("H3", (0, 0, 1))):
-            x, y = chart_xy(ray, corners)
-            over.append(text((x + 8, y - 8), name, colors["label"]))
-    return _document(sys, config, under, over)
+    return _tiling(sys, config, [(len(ch.word), ch.rays) for ch in chambers])
 
 
 def render_boundary(sys: CoxeterSystem, fundamental, patches,
@@ -211,14 +227,8 @@ def render_boundary(sys: CoxeterSystem, fundamental, patches,
 def render_symmetric_movable(cones, sys: CoxeterSystem,
                              config: RenderConfig) -> str:
     """Quadrilateral tiling of the movable cone in the symmetric case."""
-    colors = config.colors()
-    corners = config.corners()
-    under = []
-    for cone in sorted(cones, key=lambda c: -c.word.syllable_length):
-        pts = [chart_xy(r, corners) for r in cone.rays]
-        fill, opacity = _chamber_style(cone.word.syllable_length + 1, colors)
-        under.append(polygon(pts, fill, opacity, colors["edge"], 0.75))
-    return _document(sys, config, under, [])
+    return _tiling(sys, config, [(cone.word.syllable_length + 1, cone.rays)
+                                 for cone in cones])
 
 
 def render_symmetric_psef(patches, sys: CoxeterSystem,
@@ -236,10 +246,5 @@ def render_symmetric_psef(patches, sys: CoxeterSystem,
         elif p.status == "proven":
             over.append(segment(pts[0], pts[1], colors["proven"], 2.0))
             over.extend(disc(pt, 2.5, colors["proven"]) for pt in pts)
-    if config.labels:
-        from .symmetric import d_classes
-        d1, d2 = d_classes()
-        for name, cls in (("D1", d1), ("D2", d2)):
-            x, y = chart_xy(cls, corners)
-            over.append(text((x + 8, y - 8), name, colors["label"]))
+    over += _labels(config, zip(("D1", "D2"), d_classes()))
     return _document(sys, config, under, over)

@@ -198,18 +198,11 @@ class SymChamber:
 
 def sym_enumerate(depth: int) -> list[SymChamber]:
     """Translates g . Pi of the quadrilateral for all reduced words up to
-    the given depth, deduplicated by canonical ray set."""
+    the given depth; distinct words give distinct translates, so there are
+    3 * 2^depth - 2 of them."""
     base = sym_fundamental_domain()
-    seen = set()
-    out = []
-    for word, mat in _sym_walk(depth):
-        rays = tuple(primitive_int_vector(mat * r) for r in base)
-        key = tuple(sorted(rays))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(SymChamber(word, rays))
-    return out
+    return [SymChamber(word, tuple(primitive_int_vector(mat * r) for r in base))
+            for word, mat in _sym_walk(depth)]
 
 
 # ---------------------------------------------------------------------------
@@ -238,33 +231,28 @@ def psef_patches(depth: int) -> list[PsefPatch]:
 
     Endpoints are exact images of the integral divisor classes (D1 itself
     is twice its primitive ray generator), not rescaled ray generators.
+    The swap a fixes e3 and interchanges D1 with D2 and the two tangency
+    points, so a word whose last syllable is a repeats the pieces of its
+    parent and is skipped.
     """
     d1, d2 = d_classes()
     touch1 = (-1, 2, 2)          # tangency point shared with D1
     touch2 = (2, -1, 2)          # its swap image, shared with D2
     e3 = (0, 0, 1)
-    seen = set()
     out: list[PsefPatch] = []
-
-    def emit(word, label, rays, status):
-        # geometric dedup: the swap a interchanges the D1- and D2-families,
-        # so the same segment can arrive under either label
-        key = tuple(sorted(rays))
-        if key in seen:
-            return
-        seen.add(key)
-        out.append(PsefPatch(word, label, rays, status))
-
     for word, mat in _sym_walk(depth):
-        def g(v, mat=mat):
+        if word.syllables and word.syllables[-1][0] == "a":
+            continue
+
+        def g(v):
             image = mat * v
             assert all(x.denominator == 1 for x in image)
             return tuple(x.numerator for x in image)
 
-        gd1, gd2 = g(d1), g(d2)
-        emit(word, "segment-d1-d2", (gd1, gd2), "proven")
-        emit(word, "segment-d1-tangent", (gd1, g(touch1)), "proven")
-        emit(word, "segment-d2-tangent", (gd2, g(touch2)), "proven")
-        emit(word, "glued-cone-d1", (g(e3), gd1, g(touch1)), "expected")
-        emit(word, "glued-cone-d2", (g(e3), gd2, g(touch2)), "expected")
+        gd1, gd2, ge3, gt1, gt2 = map(g, (d1, d2, e3, touch1, touch2))
+        out += [PsefPatch(word, "segment-d1-d2", (gd1, gd2), "proven"),
+                PsefPatch(word, "segment-d1-tangent", (gd1, gt1), "proven"),
+                PsefPatch(word, "segment-d2-tangent", (gd2, gt2), "proven"),
+                PsefPatch(word, "glued-cone-d1", (ge3, gd1, gt1), "expected"),
+                PsefPatch(word, "glued-cone-d2", (ge3, gd2, gt2), "expected")]
     return out

@@ -16,7 +16,9 @@ S33 = build_system(3, 3)
 HEXAGON_23 = {(0, 0, 1), (-1, 2, 2), (0, 1, 0), (2, 2, -1), (1, 0, 0), (2, -1, 2)}
 
 
-def test_fundamental_domain():
+def test_fundamental_domain(monkeypatch):
+    # the m + 1 chambers are never refused by the word budget
+    monkeypatch.setenv("COXMOV_WORD_BUDGET", "1")
     chambers = fundamental_domain(S23)
     assert len(chambers) == 4
     assert chambers[0].rays == ((1, 0, 0), (0, 1, 0), (0, 0, 1))

@@ -102,3 +102,25 @@ def test_sqrt_exact():
     v = sqrt_exact(Fraction(45, 4))
     assert v * v == QuadExt(Fraction(45, 4))
     assert v.d == 5
+    # the result carries the fields the public constructor would give
+    for x in map(Fraction, (0, 1, 4, Fraction(1, 4), Fraction(8, 9), 12,
+                            Fraction(45, 7), 10 ** 6)):
+        root = sqrt_exact(x)
+        assert root * root == QuadExt(x)
+        num = x.numerator * x.denominator
+        assert _fields(root) == _fields(QuadExt(0, Fraction(1, x.denominator), num))
+
+
+def test_quad_roots_factor_the_discriminant_once(monkeypatch):
+    import coxmov.exact
+    calls = []
+    original = coxmov.exact.squarefree_decompose
+
+    def counting(k):
+        calls.append(k)
+        return original(k)
+
+    monkeypatch.setattr(coxmov.exact, "squarefree_decompose", counting)
+    big, _ = quad_roots(-7, 1)
+    assert calls == [45]
+    assert _fields(big) == (Fraction(7, 2), Fraction(3, 2), 5)

@@ -1,0 +1,100 @@
+"""The integer column walk against generic ``Matrix`` products.
+
+Each property draws its cases from a fixed seed (derandomized), so the
+suite stays deterministic.
+"""
+
+from dataclasses import replace
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coxmov.atlas import (BoundaryPatch, Chamber, _t_columns,
+                          boundary_patches, enumerate_chambers,
+                          fundamental_domain, word_matrix)
+from coxmov.bir import PairClass, eigen_pair
+from coxmov.coxeter import build_system
+from coxmov.exact import QuadExt
+from coxmov.linalg import primitive_int_vector, primitive_quad_vector
+
+FIXED = settings(derandomize=True, database=None, deadline=None,
+                 max_examples=40)
+
+
+@st.composite
+def systems_and_words(draw):
+    n = draw(st.integers(2, 7))
+    m = draw(st.integers(3, 6))
+    length = draw(st.integers(0, 6))
+    word = []
+    for _ in range(length):
+        word.append(draw(st.sampled_from(
+            [k for k in range(1, m + 1) if not word or k != word[-1]])))
+    return build_system(n, m), tuple(word)
+
+
+@FIXED
+@given(systems_and_words())
+def test_t_columns_match_word_matrix(case):
+    sys, word = case
+    cols = next(c for letters, c in _t_columns(sys, len(word))
+                if letters == word)
+    assert cols == word_matrix(sys, word).columns()
+    assert all(isinstance(x, int) for col in cols for x in col)
+
+
+def _reduced_words(m, depth):
+    # brute force: every word without a repeated letter, by length and
+    # then lexicographically
+    for k in range(depth + 1):
+        for w in product(range(1, m + 1), repeat=k):
+            if all(a != b for a, b in zip(w, w[1:])):
+                yield w
+
+
+def _chambers_by_matrices(sys, depth):
+    return [Chamber(tuple(primitive_int_vector(c)
+                          for c in word_matrix(sys, w).columns()), w)
+            for w in _reduced_words(sys.m, depth)]
+
+
+def _patches_by_matrices(sys, depth):
+    # the boundary sampling as matrix products: base rays from the word
+    # matrix columns, the apex as the word matrix times the eigenvector,
+    # the first (breadth-first) patch of each ray data kept
+    m = sys.m
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    vectors = {pair: eigen_pair(sys, *pair) for pair in pairs}
+    zero = tuple(QuadExt(0) for _ in range(m))
+    seen, out = set(), []
+    for w in _reduced_words(m, depth):
+        mat = word_matrix(sys, w)
+        for i, j in pairs:
+            base = tuple(sorted(primitive_int_vector(mat.column(k))
+                                for k in range(1, m + 1) if k not in (i, j)))
+            data = vectors[(i, j)]
+            apex = (zero if isinstance(data, PairClass)
+                    else primitive_quad_vector(mat * data.vector))
+            key = (tuple((x.a, x.b, x.d) for x in apex), base)
+            if key not in seen:
+                seen.add(key)
+                out.append(BoundaryPatch((i, j), w, apex, base))
+    return out
+
+
+def _fields(patches):
+    return [(p.pair, p.word, tuple((x.a, x.b, x.d) for x in p.apex),
+             p.base_rays) for p in patches]
+
+
+@settings(FIXED, max_examples=20)
+@given(st.integers(2, 5), st.integers(3, 5), st.integers(0, 2))
+def test_listings_match_matrix_products(n, m, depth):
+    sys = build_system(n, m)
+    assert enumerate_chambers(sys, depth) == _chambers_by_matrices(sys, depth)
+    assert fundamental_domain(sys) == [
+        replace(c, model=c.word[0] if c.word else 0)
+        for c in _chambers_by_matrices(sys, 1)]
+    assert (_fields(boundary_patches(sys, depth))
+            == _fields(_patches_by_matrices(sys, depth)))

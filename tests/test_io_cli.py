@@ -192,7 +192,11 @@ def test_cli_symmetric(capsys):
     code, out, _ = run_cli(capsys, "symmetric", "--depth", "4",
                            "--layer", "movable", "--format", "svg")
     assert code == 0
-    assert "<polygon" in out
+    assert "<polygon" in out and "H1" not in out
+    code, out, _ = run_cli(capsys, "symmetric", "--depth", "1",
+                           "--layer", "movable", "--format", "svg", "--labels")
+    assert code == 0
+    assert all(f">H{k}</text>" in out for k in (1, 2, 3))
 
     code, out, _ = run_cli(capsys, "symmetric", "--depth", "1",
                            "--layer", "psef", "--format", "svg", "--labels")
@@ -358,7 +362,7 @@ GOLDEN = [
      '31429a401a6c0eedee6ad522da5d0edf9bc8a3e06ff954cca512dc723e7e61b4',
      '', 0),
     ('symmetric --layer movable --depth 0 --format svg --labels', None,
-     '31429a401a6c0eedee6ad522da5d0edf9bc8a3e06ff954cca512dc723e7e61b4',
+     '92f07f653c96ebeff135a10425be9b1fcf7f73b8c28b8eb3c4088cb2584cf4dd',
      '', 0),
     ('symmetric --layer movable --depth 3', None,
      '2f9bad7545796b223466e5ab094ed428b1319b401987c586e1cdcf1d5eb3f81f',
@@ -367,7 +371,7 @@ GOLDEN = [
      '4cde0212bb0059fe9b48f47be0e00d26664855f1d474efa88df355561772e63f',
      '', 0),
     ('symmetric --layer movable --depth 3 --format svg --labels', None,
-     '4cde0212bb0059fe9b48f47be0e00d26664855f1d474efa88df355561772e63f',
+     '2e99cbd996890b2c3a31383c5bf9756da65945a0b52b6e4e37a57bd0701315ca',
      '', 0),
     ('symmetric --layer psef --depth 0', None,
      'b5f00c488081d5ae16074caf192874dea049ad753a6c39d50f92c3a5ffafab58',
