@@ -42,7 +42,8 @@ def _t_columns(sys: CoxeterSystem, depth: int, budget: int | None = None):
     n, m = sys.n, sys.m
 
     def step(cols, k):
-        new = tuple(n * (sum(row) - c) - c for row, c in zip(zip(*cols), cols[k - 1]))
+        rowsums = map(sum, zip(*cols))
+        new = tuple(n * (s - c) - c for s, c in zip(rowsums, cols[k - 1]))
         return cols[:k - 1] + (new,) + cols[k:]
 
     letters = range(1, m + 1)
