@@ -11,12 +11,16 @@ Every t-word listing walks the m integer columns of the word matrix:
 t_k is the identity with column k replaced by (n, ..., n, -1, n, ..., n),
 so appending t_k rewrites column k only, to n*(rowsum - col_k) - col_k.
 These matrices have determinant +-1, so their columns are primitive rays.
+
+``classify`` walks a class as the integer vector D*v, D its common
+denominator: t_i negates v_i and adds n*v_i to every other coordinate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .bir import (GroupElementNF, PairClass, PsiWord,
                   _require_infinite_order, eigen_pair, psi_from_t,
@@ -123,6 +127,8 @@ def classify(sys: CoxeterSystem, coords, max_steps: int = DEFAULT_MAX_STEPS) -> 
 
     While some coordinate is negative, apply the generator of the most
     negative coordinate (smallest index on ties) and record the letter.
+    The walk runs on D*v as Python ints, D the common denominator of the
+    input: t_i negates v_i and adds n*v_i to every other coordinate.
     Interior points of the tiled cone reach all-nonnegative coordinates in
     exactly the word length of their chamber; points outside oscillate and
     hit the step cap, which raises ``ClassificationError``.
@@ -133,20 +139,23 @@ def classify(sys: CoxeterSystem, coords, max_steps: int = DEFAULT_MAX_STEPS) -> 
         raise ValueError(f"expected {sys.m} coordinates")
     if all(x == 0 for x in vec):
         raise ValueError("zero vector has no chamber")
+    denom = lcm(*(x.denominator for x in vec))
+    vec = [int(x * denom) for x in vec]
     letters: list[int] = []
     for _ in range(max_steps):
         worst = min(vec)
         if worst >= 0:
             break
-        i = vec.index(worst) + 1
-        letters.append(i)
-        vec = sys.t(i) * vec
-    else:
-        if min(vec) < 0:
-            raise ClassificationError(
-                f"no nonnegative iterate within {max_steps} steps "
-                "(class outside the tiled cone, or cap too small)",
-                vec, max_steps)
+        i = vec.index(worst)
+        letters.append(i + 1)
+        vec = [x + sys.n * worst for x in vec]
+        vec[i] = -worst
+    iterate = tuple(Fraction(x, denom) for x in vec)
+    if min(vec) < 0:
+        raise ClassificationError(
+            f"no nonnegative iterate within {max_steps} steps "
+            "(class outside the tiled cone, or cap too small)",
+            iterate, max_steps)
     word = tuple(letters)
     psi = psi_from_t(sys, word)
     residual = t_normal_form(sys, psi).inverse() * GroupElementNF(word, Permutation.identity(sys.m))
@@ -154,7 +163,7 @@ def classify(sys: CoxeterSystem, coords, max_steps: int = DEFAULT_MAX_STEPS) -> 
         raise ArithmeticError("residual of the psi-word translation is not "
                               "a single marking")
     model = residual.letters[0] if residual.letters else 0
-    return ClassificationResult(word, psi, model, residual.perm, vec)
+    return ClassificationResult(word, psi, model, residual.perm, iterate)
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,8 @@ def _sandwich(g: Matrix, q: Matrix) -> Matrix:
 
 
 def suite_identities(n=None, m=None) -> dict:
-    ns = (n,) if n else GRID_N
-    ms = (m,) if m else GRID_M
+    ns = GRID_N if n is None else (n,)
+    ms = GRID_M if m is None else (m,)
     checks = []
     for nn in ns:
         for mm in ms:
@@ -397,11 +397,14 @@ def run_suites(which: str, n=None, m=None) -> dict:
     if which in ("identities", "all"):
         reports.append(suite_identities(n, m))
     if which in ("free", "all"):
-        reports.append(suite_free(n or 2, m or 3))
+        reports.append(suite_free(2 if n is None else n,
+                                  3 if m is None else m))
     if which in ("tiling", "all"):
-        reports.append(suite_tiling(n or 2, m or 3))
+        reports.append(suite_tiling(2 if n is None else n,
+                                    3 if m is None else m))
     if which in ("boundary", "all"):
-        reports.append(suite_boundary(n or 3, m or 3))
+        reports.append(suite_boundary(3 if n is None else n,
+                                      3 if m is None else m))
     if which in ("symmetric", "all"):
         reports.append(suite_symmetric())
     return {"passed": all(r["passed"] for r in reports), "suites": reports}

@@ -150,47 +150,23 @@ class Matrix:
     # -- elimination-based operations --------------------------------------
 
     def det(self):
-        """Exact determinant via elimination with division."""
+        """Exact determinant: the signed product of the elimination pivots."""
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
-        a = [list(r) for r in self.rows]
-        n = self.nrows
-        det = Fraction(1)
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                det = -det
-            det = det * a[col][col]
-            inv = 1 / a[col][col] if isinstance(a[col][col], Fraction) \
-                else a[col][col].inverse()
-            for r in range(col + 1, n):
-                f = a[r][col] * inv
-                if f != 0:
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return det
+        _, pivots, product = _row_reduce(self.rows, self.ncols)
+        return product if len(pivots) == self.nrows else Fraction(0)
 
     def inverse(self) -> "Matrix":
         """Exact inverse by Gauss-Jordan; raises ValueError when singular."""
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        a = [list(r) + [Fraction(int(i == j)) for j in range(n)]
-             for i, r in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if piv is None:
-                raise ValueError("singular matrix")
-            a[col], a[piv] = a[piv], a[col]
-            pivval = a[col][col]
-            a[col] = [x / pivval for x in a[col]]
-            for r in range(n):
-                if r != col and a[r][col] != 0:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return Matrix([row[n:] for row in a])
+        rows, pivots, _ = _row_reduce(
+            [list(r) + [Fraction(int(i == j)) for j in range(n)]
+             for i, r in enumerate(self.rows)], n)
+        if len(pivots) < n:
+            raise ValueError("singular matrix")
+        return Matrix([row[n:] for row in rows])
 
     def charpoly(self) -> tuple:
         """Monic characteristic polynomial, constant coefficient first.
@@ -270,29 +246,39 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
-def nullspace_vector(mat: Matrix):
-    """One nonzero kernel vector of a square matrix, or None if invertible.
+def _row_reduce(rows, ncols):
+    """Gauss-Jordan elimination on the first ``ncols`` columns.
 
-    Works over any exact field the entries support (rationals or a fixed
-    quadratic extension).
+    Returns the reduced rows, the pivot column of each leading row, and the
+    product of the pivots, negated once per row swap (the determinant when
+    every column has a pivot).  Works over any exact field the entries
+    support (rationals or a fixed quadratic extension).
     """
-    n = mat.nrows
-    a = [list(r) for r in mat.rows]
+    a = [list(r) for r in rows]
     pivots = []
-    row = 0
-    for col in range(mat.ncols):
-        piv = next((r for r in range(row, n) if a[r][col] != 0), None)
+    product = Fraction(1)
+    for col in range(ncols):
+        row = len(pivots)
+        piv = next((r for r in range(row, len(a)) if a[r][col] != 0), None)
         if piv is None:
             continue
-        a[row], a[piv] = a[piv], a[row]
+        if piv != row:
+            a[row], a[piv] = a[piv], a[row]
+            product = -product
         pv = a[row][col]
+        product = product * pv
         a[row] = [x / pv for x in a[row]]
-        for r in range(n):
+        for r in range(len(a)):
             if r != row and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[row])]
         pivots.append(col)
-        row += 1
+    return a, pivots, product
+
+
+def nullspace_vector(mat: Matrix):
+    """One nonzero kernel vector of a square matrix, or None if invertible."""
+    rows, pivots, _ = _row_reduce(mat.rows, mat.ncols)
     free = [c for c in range(mat.ncols) if c not in pivots]
     if not free:
         return None
@@ -300,7 +286,7 @@ def nullspace_vector(mat: Matrix):
     vec = [Fraction(0)] * mat.ncols
     vec[c0] = Fraction(1)
     for r, pc in enumerate(pivots):
-        vec[pc] = -a[r][c0]
+        vec[pc] = -rows[r][c0]
     return tuple(vec)
 
 

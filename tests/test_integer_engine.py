@@ -1,32 +1,36 @@
-"""The integer column walk against generic ``Matrix`` products.
+"""The integer engine (column walk, classification walk) against generic
+``Matrix`` products.
 
 Each property draws its cases from a fixed seed (derandomized), so the
 suite stays deterministic.
 """
 
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coxmov.atlas import (BoundaryPatch, Chamber, _t_columns,
-                          boundary_patches, enumerate_chambers,
-                          fundamental_domain, word_matrix)
-from coxmov.bir import PairClass, eigen_pair
-from coxmov.coxeter import build_system
+from coxmov.atlas import (BoundaryPatch, Chamber, ClassificationError,
+                          _t_columns, boundary_patches, classify,
+                          enumerate_chambers, fundamental_domain, word_matrix)
+from coxmov.bir import PairClass, eigen_pair, psi_word_matrix
+from coxmov.coxeter import build_system, perm_matrix
 from coxmov.exact import QuadExt
-from coxmov.linalg import primitive_int_vector, primitive_quad_vector
+from coxmov.linalg import (Matrix, primitive_int_vector,
+                           primitive_quad_vector)
 
 FIXED = settings(derandomize=True, database=None, deadline=None,
                  max_examples=40)
 
 
 @st.composite
-def systems_and_words(draw):
-    n = draw(st.integers(2, 7))
-    m = draw(st.integers(3, 6))
-    length = draw(st.integers(0, 6))
+def systems_and_words(draw, n_max=7, m_max=6, length_max=6):
+    n = draw(st.integers(2, n_max))
+    m = draw(st.integers(3, m_max))
+    length = draw(st.integers(0, length_max))
     word = []
     for _ in range(length):
         word.append(draw(st.sampled_from(
@@ -98,3 +102,48 @@ def test_listings_match_matrix_products(n, m, depth):
         for c in _chambers_by_matrices(sys, 1)]
     assert (_fields(boundary_patches(sys, depth))
             == _fields(_patches_by_matrices(sys, depth)))
+
+
+def _walk_by_matrices(sys, vec, max_steps):
+    # the greedy walk as Fraction matrix products: apply t_i for the most
+    # negative coordinate (smallest index on ties) while one is negative
+    vec = tuple(Fraction(x) for x in vec)
+    word = []
+    while len(word) < max_steps and min(vec) < 0:
+        i = vec.index(min(vec)) + 1
+        word.append(i)
+        vec = sys.t(i) * vec
+    return tuple(word), vec
+
+
+@st.composite
+def classes(draw):
+    # raw coordinates (mostly outside the tiled cone), or a nonnegative
+    # class moved by a reduced word (inside it)
+    sys, word = draw(systems_and_words(n_max=5, m_max=5, length_max=4))
+    moved = draw(st.booleans())
+    low = 0 if moved else -12
+    coords = tuple(Fraction(draw(st.integers(low, 12)),
+                            draw(st.integers(1, 6))) for _ in range(sys.m))
+    assume(any(coords))
+    return sys, word_matrix(sys, word) * coords if moved else coords
+
+
+@settings(FIXED, max_examples=150)
+@given(classes(), st.integers(0, 8))
+def test_classify_matches_matrix_walk(case, max_steps):
+    sys, coords = case
+    word, vec = _walk_by_matrices(sys, coords, max_steps)
+    if min(vec) < 0:
+        with pytest.raises(ClassificationError) as err:
+            classify(sys, coords, max_steps)
+        assert err.value.steps == max_steps
+        assert err.value.last_iterate == vec
+        return
+    res = classify(sys, coords, max_steps)
+    assert res.t_word == word and res.nef_coords == vec
+    # model and marking: the word matrix factors as psi * t_model * P(perm)
+    model = (sys.t(res.model_index) if res.model_index
+             else Matrix.identity(sys.m))
+    assert (psi_word_matrix(sys, res.psi_word) * model * perm_matrix(res.perm)
+            == word_matrix(sys, word))

@@ -239,6 +239,16 @@ def test_cli_verify(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("suite,flag", [("tiling", "--n"), ("tiling", "--m"),
+                                        ("free", "--n"), ("boundary", "--m"),
+                                        ("identities", "--n"), ("all", "--m")])
+def test_cli_verify_rejects_zero(capsys, suite, flag):
+    # 0 is a given value, not a request for the default grid
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, "0")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == 2
+
+
 def test_cli_viewport_and_palette(capsys):
     code, out, _ = run_cli(capsys, "chambers", "--n", "2", "--m", "3",
                            "--depth", "2", "--format", "svg",

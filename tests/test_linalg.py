@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
+from coxmov.bir import eigen_pair
 from coxmov.coxeter import build_system
 from coxmov.exact import QuadExt
 from coxmov.linalg import (Matrix, nullspace_vector, primitive_int_vector,
@@ -131,3 +133,72 @@ def test_primitive_vectors():
     assert vec == (QuadExt(1, -1, 5), QuadExt(1, 1, 5), QuadExt(6))
     neg = primitive_quad_vector(tuple(-x for x in vec))
     assert neg == vec          # sum-positive orientation
+
+
+# -- the elimination oracles against independent definitions -----------------
+
+def leibniz_det(a: Matrix):
+    """Sum over permutations of the signed products of entries."""
+    n = a.nrows
+    total = 0
+    for p in permutations(range(n)):
+        inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for r in range(n):
+            term = term * a.rows[r][p[r]]
+        total = total + term
+    return total
+
+
+def integer_matrices(seed, count=80):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.4:
+            # a dependent row: a multiple (possibly zero) of another
+            i, j = rng.sample(range(n), 2)
+            k = rng.randint(-2, 2)
+            rows[i] = [k * x for x in rows[j]]
+        yield Matrix(rows)
+
+
+def quadratic_matrices():
+    """t_i*t_j - mu*I over Q(sqrt(d)): singular at the eigenvalue
+    mu = lambda, invertible at mu = lambda + 1."""
+    for n, m, i, j in ((3, 3, 1, 2), (3, 4, 2, 4), (5, 3, 3, 1)):
+        s = build_system(n, m)
+        lam = eigen_pair(s, i, j).value
+        prod = (s.t(i) * s.t(j)).map(QuadExt)
+        for mu in (lam, lam + 1):
+            yield prod - Matrix.identity(m).map(QuadExt) * mu
+
+
+def oracle_cases(seed):
+    yield from integer_matrices(seed)
+    yield from quadratic_matrices()
+
+
+def test_det_matches_leibniz():
+    dets = []
+    for a in oracle_cases(5):
+        dets.append(leibniz_det(a))
+        assert a.det() == dets[-1]
+    assert dets.count(0) >= 10 and len(dets) - dets.count(0) >= 10
+
+
+def test_inverse_or_singular():
+    for a in oracle_cases(6):
+        if leibniz_det(a) != 0:
+            assert a * a.inverse() == Matrix.identity(a.nrows)
+        else:
+            with pytest.raises(ValueError, match="^singular matrix$"):
+                a.inverse()
+
+
+def test_nullspace_vector_iff_singular():
+    for a in oracle_cases(7):
+        v = nullspace_vector(a)
+        assert (v is None) == (leibniz_det(a) != 0)
+        if v is not None:
+            assert any(v) and a * v == (0,) * a.nrows
