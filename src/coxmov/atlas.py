@@ -131,9 +131,12 @@ def classify(sys: CoxeterSystem, coords, max_steps: int = DEFAULT_MAX_STEPS) -> 
     input: t_i negates v_i and adds n*v_i to every other coordinate.
     Interior points of the tiled cone reach all-nonnegative coordinates in
     exactly the word length of their chamber; points outside oscillate and
-    hit the step cap, which raises ``ClassificationError``.
+    hit the step cap, which raises ``ClassificationError``.  A negative
+    cap raises ``ValueError``.
     """
     _require_infinite_order(sys)
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
     vec = tuple(Fraction(x) for x in coords)
     if len(vec) != sys.m:
         raise ValueError(f"expected {sys.m} coordinates")

@@ -16,16 +16,14 @@ from . import symmetric as sym
 from .atlas import (boundary_patches, classify, enumerate_chambers,
                     fundamental_domain, isotropy_value, project_affine,
                     word_matrix)
-from .bir import (PsiWord, eigen_pair, flop_pullback, psi_matrix,
-                  swap_identity_holds, t_normal_form, verify_free)
+from .bir import (PsiWord, eigen_pair, flop_pullback, prefix_check,
+                  psi_matrix, swap_identity_holds, verify_free)
 from .coxeter import Permutation, build_system, perm_matrix
 from .exact import QuadExt
 from .linalg import Matrix
 
 GRID_N = (1, 2, 3, 4)
 GRID_M = (2, 3, 4, 5)
-
-SUITE_NAMES = ("identities", "free", "tiling", "boundary", "symmetric")
 
 
 def _check(name, identity, params, passed):
@@ -166,12 +164,7 @@ def suite_free(n=2, m=3, depth=4) -> dict:
     ok = True
     for _ in range(300):
         letters = _random_reduced_psi(rng, pairs, rng.randint(1, 6))
-        w = PsiWord(letters)
-        if w.is_empty:
-            continue
-        nf = t_normal_form(s, w)
-        i, j, e = w.letters[0]
-        ok = ok and nf.letters[:2] == ((i, j) if e > 0 else (j, i))
+        ok = ok and prefix_check(s, PsiWord(letters))
     checks.append(_check(
         "prefix", "normal form of a reduced psi-word starts t_{i_1} t_{j_1}",
         {"n": n, "m": m, "samples": 300}, ok))
@@ -389,22 +382,21 @@ def _suite_report(name: str, checks: list) -> dict:
             "checks": checks}
 
 
+# in the run order of "all"; n and m reach a suite only when given, so each
+# default lives in the suite's signature, and the symmetric suite takes none
+SUITES = {"identities": suite_identities, "free": suite_free,
+          "tiling": suite_tiling, "boundary": suite_boundary,
+          "symmetric": suite_symmetric}
+SUITE_NAMES = tuple(SUITES)
+
+
 def run_suites(which: str, n=None, m=None) -> dict:
     """Run one named suite, or all of them; returns the combined report."""
-    if which not in SUITE_NAMES and which != "all":
+    if which not in SUITES and which != "all":
         raise ValueError(f"unknown suite {which!r}")
-    reports = []
-    if which in ("identities", "all"):
-        reports.append(suite_identities(n, m))
-    if which in ("free", "all"):
-        reports.append(suite_free(2 if n is None else n,
-                                  3 if m is None else m))
-    if which in ("tiling", "all"):
-        reports.append(suite_tiling(2 if n is None else n,
-                                    3 if m is None else m))
-    if which in ("boundary", "all"):
-        reports.append(suite_boundary(3 if n is None else n,
-                                      3 if m is None else m))
-    if which in ("symmetric", "all"):
-        reports.append(suite_symmetric())
+    given = {k: v for k, v in (("n", n), ("m", m)) if v is not None}
+    if which == "symmetric" and given:
+        raise ValueError("the symmetric suite takes no n or m")
+    reports = [suite(**({} if name == "symmetric" else given))
+               for name, suite in SUITES.items() if which in (name, "all")]
     return {"passed": all(r["passed"] for r in reports), "suites": reports}

@@ -4,8 +4,8 @@ Subcommands: system, chambers, classify, boundary, symmetric, verify.
 Output is JSON (schema-versioned) or SVG 1.1 on stdout (or --out FILE);
 repeated runs with the same inputs produce byte-identical output.
 
-Exit codes: 0 success, 2 usage or parameter error (with an error JSON on
-stderr), 3 domain failure (classification walk hit its step cap).
+Exit codes: 0 success, 2 usage, parameter or --out file error (with an error
+JSON on stderr), 3 domain failure (classification walk hit its step cap).
 The only environment knob is COXMOV_WORD_BUDGET, the global cap on
 enumerated words (default 10^6) for chambers, boundary, symmetric and the
 freeness check.
@@ -42,7 +42,11 @@ def _emit_error(message: str, code: int, **extra):
 
 def _write(text: str, out: str | None):
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        try:
+            fh = open(out, "w", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            raise CommandError(f"cannot write {out}: {exc.strerror}") from exc
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -82,10 +82,6 @@ class QuadExt:
 
     # -- helpers -------------------------------------------------------
 
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def as_fraction(self) -> Fraction:
         if self.b != 0:
             raise ValueError(f"{self!r} is irrational")

@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .atlas import BoundaryPatch, Chamber, ClassificationResult
+from .atlas import (BoundaryPatch, Chamber, ClassificationResult,
+                    fundamental_domain)
 from .bir import PsiWord
 from .coxeter import CoxeterSystem, Permutation
 from .exact import QuadExt
@@ -133,10 +134,12 @@ def document(command: str, params: dict, body: dict) -> dict:
 
 
 def system_document(sys: CoxeterSystem) -> dict:
+    # chamber k of the fundamental domain is t_k . Nef, rays = columns of t_k
     body = {
         "gram": matrix_to_obj(sys.gram),
         "lorentzian": sys.lorentzian,
-        "generators": [matrix_to_obj(sys.t(i)) for i in range(1, sys.m + 1)],
+        "generators": [[[str(x) for x in row] for row in zip(*ch.rays)]
+                       for ch in fundamental_domain(sys)[1:]],
         "quadric": matrix_to_obj(sys.quadric_matrix()),
     }
     return document("system", {"n": sys.n, "m": sys.m}, body)

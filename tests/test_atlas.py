@@ -96,6 +96,14 @@ def test_classify_errors():
     assert min(err.value.last_iterate) < 0
 
 
+def test_classify_refuses_negative_cap():
+    # refused up front, also for a class that is already nef
+    for coords in ((1, 1, 1), (-1, -1, -1)):
+        with pytest.raises(ValueError, match="max_steps must be >= 0"):
+            classify(S23, coords, max_steps=-3)
+    assert classify(S23, (1, 1, 1), max_steps=0).t_word == ()
+
+
 def test_classify_wall_point_owned_by_shortest_word():
     # a wall between the nef cone and t_1 . Nef belongs to the empty word
     res = classify(S23, (0, 1, 1))

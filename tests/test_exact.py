@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxmov.exact import QuadExt, quad_roots, sqrt_exact, squarefree_decompose
 
@@ -61,6 +63,33 @@ def test_quadext_exact_ordering():
     assert QuadExt(6, -3, 5) < 0        # 6 < 3*sqrt(5)
     assert QuadExt(-7, 3, 5) < 0
     assert QuadExt(0, 0, 0).sign() == 0
+
+
+def _sign(a: int, b: int, d: int) -> int:
+    """Sign of a + b*sqrt(d), for integers a, b and d >= 0: when a and b
+    have opposite signs the larger of a*a and b*b*d wins."""
+    sa, sb = (a > 0) - (a < 0), ((b > 0) - (b < 0)) if d else 0
+    if sa == 0 or sb == 0 or sa == sb:
+        return sa or sb
+    lhs, rhs = a * a, b * b * d
+    return sa if lhs > rhs else (sb if lhs < rhs else 0)
+
+
+RATIONALS = st.tuples(st.integers(-60, 60), st.integers(1, 12))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(RATIONALS, RATIONALS, RATIONALS, RATIONALS, st.integers(0, 60))
+def test_quadext_ordering_matches_integer_comparison(a, b, c, e, d):
+    # x - y = (a - c) + (b - e)*sqrt(d); cross-multiplying by the positive
+    # denominators leaves integers, and d need not be squarefree
+    x = QuadExt(Fraction(*a), Fraction(*b), d)
+    y = QuadExt(Fraction(*c), Fraction(*e), d)
+    (pa, qa), (pb, qb), (pc, qc), (pe, qe) = a, b, c, e
+    s = _sign((pa * qc - pc * qa) * qb * qe, (pb * qe - pe * qb) * qa * qc, d)
+    assert (x < y, x <= y, x == y, x >= y, x > y) == \
+        (s < 0, s <= 0, s == 0, s >= 0, s > 0)
+    assert (x - y).sign() == s
 
 
 def test_quad_roots_golden():

@@ -10,8 +10,9 @@ from coxmov import jsonio
 from coxmov.atlas import boundary_patches, classify, enumerate_chambers
 from coxmov.bir import PsiWord
 from coxmov.cli import main
-from coxmov.coxeter import build_system
+from coxmov.coxeter import CoxeterSystem, build_system
 from coxmov.exact import QuadExt
+from coxmov.linalg import Matrix
 
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "schema"
@@ -51,6 +52,42 @@ def test_word_and_aggregate_roundtrips():
     res = classify(s, (-1, 4, 5))
     back = jsonio.obj_to_classification(jsonio.classification_to_obj(res))
     assert back == res
+
+
+def test_system_generators_match_matrix_oracle():
+    # the generators come from the integer column walk; t(i) builds the
+    # same matrices from its own closed form
+    for n in range(1, 8):
+        for m in range(2, 14):
+            if n * (m - 1) == 2:
+                continue    # singular quadric
+            sys = build_system(n, m)
+            assert jsonio.system_document(sys)["generators"] == [
+                jsonio.matrix_to_obj(sys.t(i)) for i in range(1, m + 1)]
+
+
+def test_system_document_builds_no_generator_matrix(monkeypatch):
+    sys = build_system(3, 42)
+    sys.quadric_matrix()    # cached, so no Matrix is left to build
+
+    def refuse(*args):
+        raise AssertionError("a generator went through Matrix")
+
+    converted = []
+
+    def frac_to_str(x):
+        converted.append(x)
+        return str(Fraction(x))
+
+    monkeypatch.setattr(CoxeterSystem, "t", refuse)
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    monkeypatch.setattr(jsonio, "frac_to_str", frac_to_str)
+    doc = jsonio.system_document(sys)
+    assert len(doc["generators"]) == 42
+    t5 = doc["generators"][4]
+    assert [row[4] for row in t5] == ["3"] * 4 + ["-1"] + ["3"] * 37
+    # only the Gram and quadric entries go through Fraction
+    assert len(converted) == 2 * 42 * 42
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -139,6 +176,12 @@ def test_cli_classify(capsys):
     assert payload["steps"] == 80
     assert len(payload["last_iterate"]) == 3
 
+    for cls in ("1,1,1", "-1,-1,-1"):
+        code, out, err = run_cli(capsys, "classify", "--n", "2", "--m", "3",
+                                 "--class", cls, "--max-steps", "-3")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["message"] == "max_steps must be >= 0"
+
     code, _, err = run_cli(capsys, "classify", "--n", "2", "--m", "3",
                            "--class", "1,zebra,1")
     assert code == 2
@@ -225,6 +268,11 @@ def test_cli_out_file(tmp_path, capsys):
                            "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["command"] == "system"
+    missing = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "system", "--n", "2", "--m", "3",
+                             "--out", str(missing))
+    assert code == 2 and out == ""
+    assert str(missing) in json.loads(err)["error"]["message"]
 
 
 def test_cli_verify(capsys):
@@ -247,6 +295,24 @@ def test_cli_verify_rejects_zero(capsys, suite, flag):
     code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, "0")
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["code"] == 2
+
+
+@pytest.mark.parametrize("flags", [("--n", "0", "--m", "99"), ("--n", "3"),
+                                   ("--m", "4")])
+def test_cli_verify_symmetric_refuses_n_m(capsys, flags):
+    code, out, err = run_cli(capsys, "verify", "--suite", "symmetric", *flags)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == 2
+
+
+def test_cli_verify_all_with_n_m_bytes(capsys):
+    # "all" still runs the symmetric suite, without n and m; recorded
+    # before the suites were run from one table
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--n", "3",
+                             "--m", "4")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d08606534351f37d90d1e3e67295854e1e22550260039fb65f7a24b67185b280")
 
 
 def test_cli_viewport_and_palette(capsys):
