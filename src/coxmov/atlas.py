@@ -14,6 +14,10 @@ These matrices have determinant +-1, so their columns are primitive rays.
 
 ``classify`` walks a class as the integer vector D*v, D its common
 denominator: t_i negates v_i and adds n*v_i to every other coordinate.
+
+``boundary_patches`` keeps or skips each (word, pair) by its last letter:
+for n = 2 a word ending in i or j repeats its parent's pair-{i, j} patch
+and is skipped; for n >= 3 every item is kept.
 """
 
 from __future__ import annotations
@@ -22,9 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .bir import (GroupElementNF, PairClass, PsiWord,
-                  _require_infinite_order, eigen_pair, psi_from_t,
-                  reduced_walk, t_normal_form)
+from .bir import (GroupElementNF, PsiWord, _require_infinite_order,
+                  eigen_pair, psi_from_t, reduced_walk, t_normal_form)
 from .coxeter import CoxeterSystem, Permutation
 from .exact import QuadExt
 from .linalg import Matrix, dot, primitive_quad_vector
@@ -188,36 +191,35 @@ def boundary_patches(sys: CoxeterSystem, depth: int,
                      budget: int | None = None) -> list[BoundaryPatch]:
     """Boundary cones of the movable cone, sampled to word length ``depth``.
 
-    For every unordered generator pair (i, j) and every reduced t-word w:
-    the cone spanned by w.v (v the eigenvector of t_i t_j for the
-    eigenvalue > 1; zero for n = 2) and the rays w.H_k for k != i, j.
-    Patches are deduplicated by their canonical ray data, keeping the
-    first (breadth-first) word that produces each.
+    For every reduced t-word w and unordered generator pair (i, j): the
+    cone spanned by w.v (v the eigenvector of t_i t_j for the eigenvalue
+    > 1; zero for n = 2) and the rays w.H_k for k != i, j.
+
+    Which (word, pair) items are kept is a rule on the last letter.  For
+    n = 2, t_i and t_j fix every H_k with k != i, j and the apex is zero,
+    so w.t_i and w.t_j repeat the patch of w: a word ending in i or j is
+    skipped for that pair.  For n >= 3 every item is kept: t_i t_j v =
+    lambda*v and t_j v = lambda*t_i v with lambda an irrational unit, so
+    w and w.t_i.t_j (likewise w.t_i and w.t_j) give the same projective
+    cone, but their primitive apex vectors differ and both are listed.
     """
     _require_infinite_order(sys)
-    m = sys.m
+    n, m = sys.n, sys.m
     pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
-    apexes = {}
-    for (i, j) in pairs:
-        data = eigen_pair(sys, i, j)
-        apexes[(i, j)] = None if isinstance(data, PairClass) else data.vector
-
+    vectors = {} if n == 2 else {
+        (i, j): eigen_pair(sys, i, j).vector for (i, j) in pairs}
     zero_apex = tuple(QuadExt(0) for _ in range(m))
-    seen = set()
     out: list[BoundaryPatch] = []
     for letters, cols in _t_columns(sys, depth, budget):
         rows = tuple(zip(*cols))
         for (i, j) in pairs:
+            if n == 2 and letters and letters[-1] in (i, j):
+                continue
             base = tuple(sorted(cols[k - 1]
                                 for k in range(1, m + 1) if k not in (i, j)))
-            vec = apexes[(i, j)]
-            apex = zero_apex if vec is None else primitive_quad_vector(
-                tuple(dot(row, vec) for row in rows))
-            key = (tuple((x.a, x.b, x.d) for x in apex), base)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(BoundaryPatch((i, j), tuple(letters), apex, base))
+            apex = zero_apex if n == 2 else primitive_quad_vector(
+                tuple(dot(row, vectors[(i, j)]) for row in rows))
+            out.append(BoundaryPatch((i, j), letters, apex, base))
     return out
 
 

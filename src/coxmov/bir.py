@@ -264,10 +264,8 @@ def t_normal_form(sys: CoxeterSystem, word: PsiWord) -> GroupElementNF:
 def psi_word_matrix(sys: CoxeterSystem, word: PsiWord) -> Matrix:
     out = Matrix.identity(sys.m)
     for (i, j, step) in word.single_letters():
-        mat = psi_matrix(sys, i, j)
-        if step < 0:
-            mat = psi_matrix(sys, j, i)
-        out = out * mat
+        a, b = (i, j) if step > 0 else (j, i)
+        out = out * psi_matrix(sys, a, b)
     return out
 
 
@@ -364,12 +362,12 @@ def eigen_pair(sys: CoxeterSystem, i: int, j: int):
     if i == j:
         raise ValueError("need two distinct indices")
     n, m = sys.n, sys.m
+    if not (1 <= i <= m and 1 <= j <= m):
+        raise IndexError(f"generator index out of range 1..{m}")
     if n == 1:
         return PairClass.FINITE_ORDER
     if n == 2:
         return PairClass.UNIPOTENT
-    if not (1 <= i <= m and 1 <= j <= m):
-        raise IndexError(f"generator index out of range 1..{m}")
     # lambda = ((n^2-2) + n*sqrt((n-2)(n+2)))/2: factor (n-2)(n+2), not
     # the discriminant n^2(n^2-4)
     s, d = squarefree_decompose((n - 2) * (n + 2))

@@ -20,8 +20,9 @@ import sys
 from fractions import Fraction
 
 from . import checks, jsonio, svgplot, symmetric
-from .atlas import (ClassificationError, boundary_patches, classify,
-                    enumerate_chambers, fundamental_domain)
+from .atlas import (DEFAULT_MAX_STEPS, ClassificationError,
+                    boundary_patches, classify, enumerate_chambers,
+                    fundamental_domain)
 from .coxeter import build_system
 
 EXIT_OK = 0
@@ -193,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_nm(p)
     p.add_argument("--class", dest="divisor", required=True,
                    help="comma-separated exact rational coordinates")
-    p.add_argument("--max-steps", type=int, default=1000)
+    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     add_common(p)
     p.set_defaults(func=cmd_classify)
 

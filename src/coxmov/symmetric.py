@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .atlas import isotropy_value
 from .bir import psi_matrix, reduced_walk
@@ -105,24 +106,7 @@ class SymWord:
     @staticmethod
     def from_letters(letters) -> "SymWord":
         """Build from a sequence over {'a', 'b', 'B'} (B the inverse of b)."""
-        syl: list[list] = []
-        for ch in letters:
-            if ch == "a":
-                if syl and syl[-1][0] == "a":
-                    syl.pop()
-                else:
-                    syl.append(["a", 1])
-            elif ch in ("b", "B"):
-                step = 1 if ch == "b" else -1
-                if syl and syl[-1][0] == "b":
-                    syl[-1][1] += step
-                    if syl[-1][1] == 0:
-                        syl.pop()
-                else:
-                    syl.append(["b", step])
-            else:
-                raise ValueError(f"unknown letter {ch!r}")
-        return SymWord(tuple((g, k) for g, k in syl))
+        return reduce(_append, letters, SymWord.identity())
 
     @property
     def syllable_length(self) -> int:
@@ -148,14 +132,18 @@ _SYM_INVERSE = {"a": "a", "b": "B", "B": "b"}
 
 
 def _append(word: SymWord, ch: str) -> SymWord:
-    # a reduced word never cancels: a 'b'/'B' extends a b-syllable of its
-    # own sign, anything else opens a syllable
+    # right-multiply by one letter of Z/2 * Z, where a*a and b^k*b^-k cancel
     syl = word.syllables
     if ch == "a":
+        if syl and syl[-1][0] == "a":
+            return SymWord(syl[:-1])
         return SymWord(syl + (("a", 1),))
+    if ch not in ("b", "B"):
+        raise ValueError(f"unknown letter {ch!r}")
     step = 1 if ch == "b" else -1
     if syl and syl[-1][0] == "b":
-        return SymWord(syl[:-1] + (("b", syl[-1][1] + step),))
+        k = syl[-1][1] + step
+        return SymWord(syl[:-1] + ((("b", k),) if k else ()))
     return SymWord(syl + (("b", step),))
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -218,6 +219,29 @@ def test_boundary_apexes_isotropic_at_depth():
         assert isotropy_value(S33, p.apex) == QuadExt(0)
     with pytest.raises(ValueError):
         boundary_patches(build_system(1, 5), 0)
+
+
+def test_boundary_patch_count_closed_form():
+    # n = 2 keeps, per pair, the empty word and the words ending in
+    # neither i nor j; n >= 3 keeps every (word, pair)
+    for n in (2, 3, 5):
+        for m in range(2, 6):
+            for depth in range(4 if m < 5 else 3):
+                tail = sum((m - 1) ** k for k in range(depth))
+                if n == 2:
+                    expected = comb(m, 2) * (1 + (m - 2) * tail)
+                else:
+                    expected = (1 + m * tail) * comb(m, 2)
+                patches = boundary_patches(build_system(n, m), depth)
+                assert len(patches) == expected, (n, m, depth)
+
+
+@pytest.mark.xfail(strict=True, reason="for n >= 3, w and w.t_i.t_j give "
+                   "the same projective cone and both are listed")
+def test_boundary_patches_projectively_distinct():
+    keys = [(tuple((x.a, x.b, x.d) for x in project_affine(p.apex)),
+             p.base_rays) for p in boundary_patches(S33, 2)]
+    assert len(set(keys)) == len(keys)
 
 
 def test_project_affine():

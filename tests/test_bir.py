@@ -292,6 +292,10 @@ def test_eigen_pair_markers():
     assert eigen_pair(S23, 1, 2) is PairClass.UNIPOTENT
     with pytest.raises(ValueError):
         eigen_pair(S33, 2, 2)
+    # the index range is checked before the n <= 2 markers
+    for n, i, j in ((1, 0, 1), (2, 1, 7), (2, 4, 1)):
+        with pytest.raises(IndexError):
+            eigen_pair(build_system(n, 3), i, j)
 
 
 def test_eigen_pair_exact():

@@ -93,7 +93,7 @@ def _fields(patches):
 
 
 @settings(FIXED, max_examples=20)
-@given(st.integers(2, 5), st.integers(3, 5), st.integers(0, 2))
+@given(st.integers(2, 5), st.integers(2, 5), st.integers(0, 2))
 def test_listings_match_matrix_products(n, m, depth):
     sys = build_system(n, m)
     assert enumerate_chambers(sys, depth) == _chambers_by_matrices(sys, depth)

@@ -1,6 +1,8 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxmov.atlas import fundamental_domain, isotropy_value
 from coxmov.bir import psi_matrix
@@ -104,6 +106,18 @@ def test_sym_words():
     assert SymWord.from_letters("aa").syllables == ()
     with pytest.raises(ValueError):
         SymWord.from_letters("x")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.text(alphabet="abB", max_size=12))
+def test_from_letters_matches_letter_product(letters):
+    # unreduced strings too: the fold must cancel aa, bB and Bb
+    a, b = sym_generators()
+    gens = {"a": a, "b": b, "B": b.inverse()}
+    expected = Matrix.identity(3)
+    for ch in letters:
+        expected = expected * gens[ch]
+    assert SymWord.from_letters(letters).matrix() == expected
 
 
 def test_sym_walk_matches_letter_words():
