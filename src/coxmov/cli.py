@@ -6,6 +6,8 @@ repeated runs with the same inputs produce byte-identical output.
 
 Exit codes: 0 success, 2 usage, parameter or --out file error (with an error
 JSON on stderr), 3 domain failure (classification walk hit its step cap).
+An --out file is checked for writability before any computation; a file
+the run created is removed again when nothing was written to it.
 The only environment knob is COXMOV_WORD_BUDGET, the global cap on
 enumerated words (default 10^6) for chambers, boundary, symmetric and the
 freeness check.
@@ -16,10 +18,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
-from . import checks, jsonio, svgplot, symmetric
+from . import jsonio
 from .atlas import (DEFAULT_MAX_STEPS, ClassificationError,
                     boundary_patches, classify, enumerate_chambers,
                     fundamental_domain)
@@ -28,6 +31,10 @@ from .coxeter import build_system
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+
+# checks.SUITE_NAMES + ("all",), spelled out so that building the parser
+# does not import the suites
+SUITE_CHOICES = ("identities", "free", "tiling", "boundary", "symmetric", "all")
 
 
 class CommandError(Exception):
@@ -41,19 +48,35 @@ def _emit_error(message: str, code: int, **extra):
     sys.stderr.write(json.dumps(payload) + "\n")
 
 
+def _open_out(path: str, mode: str):
+    try:
+        return open(path, mode, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise CommandError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _claim_out(path: str | None) -> bool:
+    """Fail now if --out cannot be written; True if this creates the file.
+
+    Append mode leaves an existing file's bytes alone until ``_write``.
+    """
+    if not path:
+        return False
+    created = not os.path.lexists(path)
+    _open_out(path, "a").close()
+    return created
+
+
 def _write(text: str, out: str | None):
     if out:
-        try:
-            fh = open(out, "w", encoding="utf-8", newline="\n")
-        except OSError as exc:
-            raise CommandError(f"cannot write {out}: {exc.strerror}") from exc
-        with fh:
+        with _open_out(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _render_config(args) -> svgplot.RenderConfig:
+def _render_config(args):
+    from . import svgplot
     cfg = svgplot.RenderConfig(labels=args.labels)
     if args.viewport:
         try:
@@ -73,13 +96,15 @@ def _render_config(args) -> svgplot.RenderConfig:
 
 def _emit(args, document, render, chart_ok=True):
     """Write ``document()`` as JSON, or with --format svg the picture
-    ``render(config)``; the chart picture is refused unless ``chart_ok``."""
+    ``render(svgplot, config)``; the chart picture is refused unless
+    ``chart_ok``."""
     if args.format == "json":
         text = jsonio.dumps(document())
     elif not chart_ok:
         raise CommandError("svg output needs m = 3")
     else:
-        text = render(_render_config(args))
+        from . import svgplot
+        text = render(svgplot, _render_config(args))
     _write(text, args.out)
 
 
@@ -93,7 +118,7 @@ def cmd_chambers(args) -> int:
     sys_ = build_system(args.n, args.m, enforce_dimension_bound=True)
     chambers = enumerate_chambers(sys_, args.depth)
     _emit(args, lambda: jsonio.chambers_document(sys_, args.depth, chambers),
-          lambda cfg: svgplot.render_chambers(sys_, chambers, cfg),
+          lambda plot, cfg: plot.render_chambers(sys_, chambers, cfg),
           args.m == 3)
     return EXIT_OK
 
@@ -126,25 +151,28 @@ def cmd_boundary(args) -> int:
             "systems accumulate differently and are not described here")
     patches = boundary_patches(sys_, args.depth)
     _emit(args, lambda: jsonio.boundary_document(sys_, args.depth, patches),
-          lambda cfg: svgplot.render_boundary(sys_, fundamental_domain(sys_),
-                                              patches, cfg),
+          lambda plot, cfg: plot.render_boundary(
+              sys_, fundamental_domain(sys_), patches, cfg),
           args.m == 3)
     return EXIT_OK
 
 
 def cmd_symmetric(args) -> int:
+    from . import symmetric
     if args.layer == "movable":
         items = symmetric.sym_enumerate(args.depth)
-        render = svgplot.render_symmetric_movable
+        picture = "render_symmetric_movable"
     else:
         items = symmetric.psef_patches(args.depth)
-        render = svgplot.render_symmetric_psef
+        picture = "render_symmetric_psef"
     _emit(args, lambda: jsonio.symmetric_document(args.depth, args.layer, items),
-          lambda cfg: render(items, symmetric.base_system(), cfg))
+          lambda plot, cfg: getattr(plot, picture)(
+              items, symmetric.base_system(), cfg))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    from . import checks
     report = checks.run_suites(args.suite, args.n, args.m)
     doc = jsonio.document("verify", {"suite": args.suite, "n": args.n,
                                      "m": args.m}, report)
@@ -211,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_symmetric)
 
     p = sub.add_parser("verify", help="run the exact property suites")
-    p.add_argument("--suite", choices=checks.SUITE_NAMES + ("all",),
-                   default="all")
+    p.add_argument("--suite", choices=SUITE_CHOICES, default="all")
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     add_common(p)
@@ -238,7 +265,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_merge_class_flag(argv))
+    created = False
     try:
+        created = _claim_out(args.out)
         return args.func(args)
     except CommandError as exc:
         _emit_error(str(exc), exc.code)
@@ -247,6 +276,9 @@ def main(argv=None) -> int:
         # parameter errors from the library, BudgetError included
         _emit_error(str(exc), EXIT_USAGE)
         return EXIT_USAGE
+    finally:
+        if created and os.path.getsize(args.out) == 0:
+            os.remove(args.out)
 
 
 def entrypoint():

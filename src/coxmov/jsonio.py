@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .atlas import (BoundaryPatch, Chamber, ClassificationResult,
                     fundamental_domain)
@@ -16,7 +17,9 @@ from .bir import PsiWord
 from .coxeter import CoxeterSystem, Permutation
 from .exact import QuadExt
 from .linalg import Matrix
-from .symmetric import PsefPatch, SymChamber, SymWord
+
+if TYPE_CHECKING:
+    from .symmetric import PsefPatch, SymChamber, SymWord
 
 SCHEMA_VERSION = "1"
 

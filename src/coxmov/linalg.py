@@ -4,12 +4,22 @@ Matrices are immutable tuples-of-tuples.  Entries are ``Fraction`` (integer
 inputs are promoted) or ``QuadExt``; every operation is exact.  Sizes here
 are tiny (the Picard rank m), so plain Gaussian elimination with exact
 division is the right tool.
+
+Products (``Matrix * Matrix`` and ``Matrix * vector``) of rational operands
+run on Python ints: ``_scaled`` writes each row of the left operand and
+each column of the right one (or the vector) as integer numerators over
+one common denominator, so entry (i, j) is a single
+``Fraction(sum(a_i * b_j), d_i * d_j)`` instead of about 2k ``Fraction``
+operations, each with its own gcd.  The entries stay ``Fraction``.  When
+any entry of either operand is not rational (``QuadExt``, or a mix of both
+kinds), the product takes the generic path through ``dot``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .exact import QuadExt
 
@@ -20,6 +30,32 @@ def _norm_entry(e):
     if isinstance(e, float):
         raise TypeError("exact matrices do not accept floats")
     return Fraction(e)
+
+
+def _scaled(vectors):
+    """Each vector as (integer numerators, common denominator), or None
+    when some entry is not rational."""
+    out = []
+    for vec in vectors:
+        if not all(isinstance(x, (Fraction, int)) for x in vec):
+            return None
+        d = lcm(*[x.denominator for x in vec])
+        if d == 1:
+            out.append(([x.numerator for x in vec], 1))
+        else:
+            out.append(([x.numerator * (d // x.denominator) for x in vec], d))
+    return out
+
+
+def _product(rows, cols):
+    """Entry (i, j) is rows[i] . cols[j], on ints when every entry is
+    rational, else through ``dot``."""
+    left = _scaled(rows)
+    right = left and _scaled(cols)
+    if right is None:
+        return [[dot(row, col) for col in cols] for row in rows]
+    return [[Fraction(sum(map(mul, a, b)), da * db) for b, db in right]
+            for a, da in left]
 
 
 def dot(u, v):
@@ -118,12 +154,11 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("dimension mismatch")
-            bt = other.transpose().rows
-            return Matrix([[dot(row, col) for col in bt] for row in self.rows])
+            return Matrix(_product(self.rows, other.transpose().rows))
         if isinstance(other, (tuple, list)):
             if self.ncols != len(other):
                 raise ValueError("dimension mismatch")
-            return tuple(dot(row, other) for row in self.rows)
+            return tuple(row[0] for row in _product(self.rows, (other,)))
         if isinstance(other, (int, Fraction, QuadExt)):
             return self.map(lambda e: e * other)
         return NotImplemented

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxmov.atlas import reduced_words, word_matrix
 from coxmov.bir import (BudgetError, GroupElementNF, PairClass, PsiWord,
@@ -146,6 +148,31 @@ def test_normal_form_homomorphism():
         v = PsiWord([(i, j, rng.choice((1, -1)))
                      for (i, j) in (rng.choice(pairs) for _ in range(rng.randint(0, 5)))])
         assert t_normal_form(S23, u * v) == t_normal_form(S23, u) * t_normal_form(S23, v)
+
+
+@st.composite
+def systems_and_elements(draw):
+    """A system with n 2-5, m 3-5 and two normal forms: a reduced t-word
+    of length <= 5 times a permutation."""
+    n, m = draw(st.integers(2, 5)), draw(st.integers(3, 5))
+
+    def element():
+        word = []
+        for _ in range(draw(st.integers(0, 5))):
+            word.append(draw(st.sampled_from(
+                [k for k in range(1, m + 1) if not word or k != word[-1]])))
+        images = draw(st.permutations(range(1, m + 1)))
+        return GroupElementNF(tuple(word), Permutation(tuple(images)))
+
+    return build_system(n, m), element(), element()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(systems_and_elements())
+def test_normal_form_product_is_matrix_product(case):
+    s, g, h = case
+    assert (g * h).matrix(s) == g.matrix(s) * h.matrix(s)
+    assert g.inverse().matrix(s) * g.matrix(s) == Matrix.identity(s.m)
 
 
 def test_psi_from_t_examples():

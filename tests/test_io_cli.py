@@ -1,12 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from coxmov import jsonio
+from coxmov import checks, cli, jsonio
 from coxmov.atlas import boundary_patches, classify, enumerate_chambers
 from coxmov.bir import PsiWord
 from coxmov.cli import main
@@ -23,6 +26,31 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+ERROR_DOCUMENT = jsonschema.Draft7Validator(
+    {"definitions": SCHEMA["definitions"],
+     "$ref": "#/definitions/error_document"})
+
+
+def error_payload(err):
+    """The stderr error JSON of a failed run, checked against the schema."""
+    doc = json.loads(err)
+    ERROR_DOCUMENT.validate(doc)
+    return doc["error"]
+
+
+def test_error_document_schema_rejects_malformed():
+    ERROR_DOCUMENT.validate({"error": {"code": 3, "message": "x", "steps": 4,
+                                       "last_iterate": ["-1/2", "3"]}})
+    for bad in ({"error": {"code": 1, "message": "x"}},
+                {"error": {"code": 2}},
+                {"error": {"code": 2, "message": "x", "extra": 1}},
+                {"error": {"code": 3, "message": "x", "steps": -1}},
+                {"error": {"code": 3, "message": "x", "last_iterate": ["0.5"]}},
+                {"error": {"code": 2, "message": "x"}, "command": "system"}):
+        with pytest.raises(jsonschema.ValidationError):
+            ERROR_DOCUMENT.validate(bad)
 
 
 # -- serialization roundtrips -------------------------------------------------
@@ -131,7 +159,7 @@ def test_cli_system_range_error(capsys):
     code, out, err = run_cli(capsys, "system", "--n", "1", "--m", "2")
     assert code == 2
     assert out == ""
-    assert json.loads(err)["error"]["code"] == 2
+    assert error_payload(err)["code"] == 2
 
 
 def test_cli_chambers_json(capsys):
@@ -152,7 +180,7 @@ def test_cli_chambers_svg(capsys):
     code, _, err = run_cli(capsys, "chambers", "--n", "2", "--m", "4",
                            "--depth", "2", "--format", "svg")
     assert code == 2
-    assert "m = 3" in json.loads(err)["error"]["message"]
+    assert "m = 3" in error_payload(err)["message"]
 
 
 def test_cli_classify(capsys):
@@ -171,7 +199,7 @@ def test_cli_classify(capsys):
     code, _, err = run_cli(capsys, "classify", "--n", "2", "--m", "3",
                            "--class", "-1,-1,-1", "--max-steps", "80")
     assert code == 3
-    payload = json.loads(err)["error"]
+    payload = error_payload(err)
     assert payload["code"] == 3
     assert payload["steps"] == 80
     assert len(payload["last_iterate"]) == 3
@@ -180,7 +208,7 @@ def test_cli_classify(capsys):
         code, out, err = run_cli(capsys, "classify", "--n", "2", "--m", "3",
                                  "--class", cls, "--max-steps", "-3")
         assert code == 2 and out == ""
-        assert json.loads(err)["error"]["message"] == "max_steps must be >= 0"
+        assert error_payload(err)["message"] == "max_steps must be >= 0"
 
     code, _, err = run_cli(capsys, "classify", "--n", "2", "--m", "3",
                            "--class", "1,zebra,1")
@@ -212,7 +240,7 @@ def test_cli_boundary(capsys):
     code, _, err = run_cli(capsys, "boundary", "--n", "1", "--m", "5",
                            "--depth", "0")
     assert code == 2
-    assert "n >= 2" in json.loads(err)["error"]["message"]
+    assert "n >= 2" in error_payload(err)["message"]
 
     code, out, _ = run_cli(capsys, "boundary", "--n", "2", "--m", "3",
                            "--depth", "0")
@@ -272,7 +300,61 @@ def test_cli_out_file(tmp_path, capsys):
     code, out, err = run_cli(capsys, "system", "--n", "2", "--m", "3",
                              "--out", str(missing))
     assert code == 2 and out == ""
-    assert str(missing) in json.loads(err)["error"]["message"]
+    assert str(missing) in error_payload(err)["message"]
+
+
+def test_cli_out_checked_before_computing(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def run_suites(*args):
+        calls.append(args)
+        raise AssertionError("the suites ran")
+
+    monkeypatch.setattr(checks, "run_suites", run_suites)
+    missing = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "verify", "--suite", "all",
+                             "--out", str(missing))
+    assert (code, out, calls) == (2, "", [])
+    assert error_payload(err)["message"] == \
+        f"cannot write {missing}: No such file or directory"
+
+
+def test_cli_failed_run_leaves_no_out_file(tmp_path, capsys):
+    target = tmp_path / "x.json"
+    failing = [(("classify", "--n", "2", "--m", "3", "--class", "-1,-1,-1",
+                 "--max-steps", "3"), 3),
+               (("chambers", "--n", "2", "--m", "4", "--format", "svg"), 2),
+               (("system", "--n", "1", "--m", "2"), 2)]
+    for argv, expected in failing:
+        code, out, err = run_cli(capsys, *argv, "--out", str(target))
+        assert (code, out) == (expected, "")
+        assert error_payload(err)["code"] == expected
+        assert not target.exists()
+    # an existing file keeps its bytes when the run fails
+    target.write_text("kept\n")
+    for argv, expected in failing:
+        assert run_cli(capsys, *argv, "--out", str(target))[0] == expected
+        assert target.read_text() == "kept\n"
+    code, _, _ = run_cli(capsys, "system", "--n", "2", "--m", "3",
+                         "--out", str(target))
+    assert code == 0
+    assert json.loads(target.read_text())["command"] == "system"
+
+
+def test_cli_import_loads_no_subcommand_modules():
+    # building the parser needs neither the suites nor the renderers
+    src = Path(jsonio.__file__).resolve().parents[1]
+    probe = ("import sys, coxmov.cli; coxmov.cli.build_parser(); "
+             "print(sorted(m for m in ('coxmov.checks', 'coxmov.svgplot', "
+             "'coxmov.symmetric') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
+def test_suite_choices_match_checks():
+    assert cli.SUITE_CHOICES == checks.SUITE_NAMES + ("all",)
 
 
 def test_cli_verify(capsys):
@@ -294,7 +376,7 @@ def test_cli_verify_rejects_zero(capsys, suite, flag):
     # 0 is a given value, not a request for the default grid
     code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, "0")
     assert code == 2 and out == ""
-    assert json.loads(err)["error"]["code"] == 2
+    assert error_payload(err)["code"] == 2
 
 
 @pytest.mark.parametrize("flags", [("--n", "0", "--m", "99"), ("--n", "3"),
@@ -302,7 +384,7 @@ def test_cli_verify_rejects_zero(capsys, suite, flag):
 def test_cli_verify_symmetric_refuses_n_m(capsys, flags):
     code, out, err = run_cli(capsys, "verify", "--suite", "symmetric", *flags)
     assert code == 2 and out == ""
-    assert json.loads(err)["error"]["code"] == 2
+    assert error_payload(err)["code"] == 2
 
 
 def test_cli_verify_all_with_n_m_bytes(capsys):
@@ -330,7 +412,7 @@ def test_cli_viewport_and_palette(capsys):
                                  "--format", "svg", "--viewport", bad)
         assert code == 2, bad
         assert out == ""
-        assert "viewport" in json.loads(err)["error"]["message"]
+        assert "viewport" in error_payload(err)["message"]
 
 
 def test_budget_env_var(capsys, monkeypatch):
@@ -338,12 +420,12 @@ def test_budget_env_var(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "chambers", "--n", "2", "--m", "3",
                            "--depth", "4")
     assert code == 2
-    assert "budget" in json.loads(err)["error"]["message"]
+    assert "budget" in error_payload(err)["message"]
     for layer in ("movable", "psef"):
         code, _, err = run_cli(capsys, "symmetric", "--layer", layer,
                                "--depth", "3")
         assert code == 2
-        assert "budget" in json.loads(err)["error"]["message"]
+        assert "budget" in error_payload(err)["message"]
 
 
 # -- golden output digests ----------------------------------------------------

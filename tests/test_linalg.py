@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
+from operator import add, mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxmov.bir import eigen_pair
 from coxmov.coxeter import build_system
@@ -202,3 +206,84 @@ def test_nullspace_vector_iff_singular():
         assert (v is None) == (leibniz_det(a) != 0)
         if v is not None:
             assert any(v) and a * v == (0,) * a.nrows
+
+
+# -- the product kernel against a naive sum of entry products -----------------
+
+FIXED = settings(derandomize=True, database=None, deadline=None,
+                 max_examples=150)
+
+FRACTIONS = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-30, 30),
+                                st.integers(1, 12)))
+INTS = st.integers(-30, 30)
+
+
+def naive_product(a_rows, b_rows):
+    """Entry (i, j) is the left-to-right sum of a[i][k] * b[k][j]."""
+    return [[reduce(add, map(mul, row, col)) for col in zip(*b_rows)]
+            for row in a_rows]
+
+
+def grid(draw, entries, nrows, ncols):
+    return [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@st.composite
+def operands(draw, entries):
+    """A (r x k) and a (k x c) matrix and a length-k vector, sizes 1-5."""
+    r, k, c = (draw(st.integers(1, 5)) for _ in range(3))
+    vector = [draw(st.one_of(entries, INTS)) for _ in range(k)]
+    return grid(draw, entries, r, k), grid(draw, entries, k, c), vector
+
+
+def quad_entries(d):
+    return st.builds(QuadExt, FRACTIONS, FRACTIONS, st.just(d))
+
+
+@st.composite
+def quad_operands(draw):
+    """Operands over one Q(sqrt(d)); with ``mixed`` most entries stay
+    rational, so the kernel sees rational rows next to radical ones."""
+    d = draw(st.sampled_from((2, 5, 21)))
+    mixed = draw(st.booleans())
+    quad = quad_entries(d)
+    entries = st.one_of(FRACTIONS, FRACTIONS, quad) if mixed else quad
+    return draw(operands(entries))
+
+
+def assert_rational_entries(values):
+    assert all(type(x) is Fraction for x in values)
+
+
+@FIXED
+@given(operands(FRACTIONS))
+def test_rational_products_match_naive_sum(case):
+    a, b, vec = case
+    prod = Matrix(a) * Matrix(b)
+    assert [list(r) for r in prod.rows] == naive_product(a, b)
+    assert_rational_entries(x for row in prod.rows for x in row)
+    image = Matrix(a) * vec
+    assert list(image) == [reduce(add, map(mul, row, vec)) for row in a]
+    assert_rational_entries(image)
+
+
+@FIXED
+@given(st.integers(1, 5), st.integers(1, 5),
+       st.lists(INTS, min_size=25, max_size=25))
+def test_integer_vector_images_are_fractions(r, k, flat):
+    a = Matrix([flat[i * k:(i + 1) * k] for i in range(r)])
+    vec = tuple(flat[:k])
+    image = a * vec
+    assert list(image) == [sum(map(mul, row, vec)) for row in a.rows]
+    assert_rational_entries(image)
+
+
+@settings(FIXED, max_examples=60)
+@given(quad_operands())
+def test_quadratic_and_mixed_products_match_naive_sum(case):
+    a, b, vec = case
+    assert [list(r) for r in (Matrix(a) * Matrix(b)).rows] == \
+        naive_product(a, b)
+    assert list(Matrix(a) * vec) == \
+        [reduce(add, map(mul, row, vec)) for row in a]
