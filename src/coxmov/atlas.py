@@ -131,7 +131,9 @@ def classify(sys: CoxeterSystem, coords, max_steps: int = DEFAULT_MAX_STEPS) -> 
     While some coordinate is negative, apply the generator of the most
     negative coordinate (smallest index on ties) and record the letter.
     The walk runs on D*v as Python ints, D the common denominator of the
-    input: t_i negates v_i and adds n*v_i to every other coordinate.
+    input, scaled on integers (entry p/q becomes p * (D // q); ``int``
+    entries skip ``Fraction``): t_i negates v_i and adds n*v_i to every
+    other coordinate.
     Interior points of the tiled cone reach all-nonnegative coordinates in
     exactly the word length of their chamber; points outside oscillate and
     hit the step cap, which raises ``ClassificationError``.  A negative
@@ -140,13 +142,13 @@ def classify(sys: CoxeterSystem, coords, max_steps: int = DEFAULT_MAX_STEPS) -> 
     _require_infinite_order(sys)
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
-    vec = tuple(Fraction(x) for x in coords)
+    vec = tuple(x if type(x) is int else Fraction(x) for x in coords)
     if len(vec) != sys.m:
         raise ValueError(f"expected {sys.m} coordinates")
     if all(x == 0 for x in vec):
         raise ValueError("zero vector has no chamber")
     denom = lcm(*(x.denominator for x in vec))
-    vec = [int(x * denom) for x in vec]
+    vec = [x.numerator * (denom // x.denominator) for x in vec]
     letters: list[int] = []
     for _ in range(max_steps):
         worst = min(vec)

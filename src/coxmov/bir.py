@@ -5,7 +5,9 @@ models X_i and X_j) act on divisor classes by the integer matrix
 t_i * t_j * t_i * P(i j).  For n >= 2 every group element factors uniquely
 as a freely reduced word in the involutions t_k times a coordinate
 permutation, which is the normal form used for all word problems here.
-Word-level operations reject n = 1, where the braid relation
+``t_normal_form`` builds it in one pass over the psi-letters, on a stack of
+t-letters and the image list of the running permutation.  Word-level
+operations reject n = 1, where the braid relation
 (t_i t_j)^3 = 1 breaks free reduction; the matrices themselves are fine
 for any n.
 """
@@ -158,13 +160,14 @@ class GroupElementNF:
 
     def __mul__(self, other: "GroupElementNF") -> "GroupElementNF":
         # push the left permutation through the right t-word
-        mapped = tuple(self.perm(k) for k in other.letters)
+        mapped = tuple(self.perm.images[k - 1] for k in other.letters)
         return GroupElementNF(free_reduce(self.letters + mapped),
                               self.perm * other.perm)
 
     def inverse(self) -> "GroupElementNF":
         inv = self.perm.inverse()
-        return GroupElementNF(tuple(inv(k) for k in reversed(self.letters)), inv)
+        return GroupElementNF(
+            tuple(inv.images[k - 1] for k in reversed(self.letters)), inv)
 
     def matrix(self, sys: CoxeterSystem) -> Matrix:
         out = perm_matrix(self.perm)
@@ -253,12 +256,24 @@ def _letter_nf(m: int, i: int, j: int, step: int) -> GroupElementNF:
 
 def t_normal_form(sys: CoxeterSystem, word: PsiWord) -> GroupElementNF:
     """Expand a psi-word into its canonical (reduced t-word, permutation)
-    factorization by pushing all permutations to the right."""
+    factorization in one pass, on a stack of t-letters and the image list
+    of the running permutation sigma: psi_{i,j}^{+-1} = t_a t_b t_a * P(i j)
+    with (a, b) = (i, j) or (j, i) pushes sigma(a), sigma(b), sigma(a), each
+    cancelling an equal top of the stack, then swaps images i and j."""
     _require_infinite_order(sys)
-    out = GroupElementNF.identity(sys.m)
-    for (i, j, step) in word.single_letters():
-        out = out * _letter_nf(sys.m, i, j, step)
-    return out
+    stack, images = [], list(range(1, sys.m + 1))
+    for (i, j, e) in word.letters:
+        if not (1 <= i <= sys.m and 1 <= j <= sys.m):
+            raise IndexError(f"generator index out of range 1..{sys.m}")
+        a, b = (i - 1, j - 1) if e > 0 else (j - 1, i - 1)
+        for _ in range(abs(e)):
+            for k in (images[a], images[b], images[a]):
+                if stack and stack[-1] == k:
+                    stack.pop()
+                else:
+                    stack.append(k)
+            images[a], images[b] = images[b], images[a]
+    return GroupElementNF(tuple(stack), Permutation(tuple(images)))
 
 
 def psi_word_matrix(sys: CoxeterSystem, word: PsiWord) -> Matrix:

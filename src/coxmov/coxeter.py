@@ -66,7 +66,7 @@ class Permutation:
         """Composition: (self * other)(i) = self(other(i))."""
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        return Permutation(tuple(self(other(i)) for i in range(1, self.degree + 1)))
+        return Permutation(tuple(self.images[k - 1] for k in other.images))
 
     def inverse(self) -> "Permutation":
         imgs = [0] * self.degree

@@ -114,9 +114,10 @@ class SymWord:
 
     def matrix(self) -> Matrix:
         a, b = sym_generators()
+        b_inv = psi_matrix(base_system(), 3, 1)
         out = Matrix.identity(3)
         for gen, k in self.syllables:
-            out = out * (a if gen == "a" else b ** k)
+            out = out * (a if gen == "a" else (b if k > 0 else b_inv) ** abs(k))
         return out
 
     def spell(self) -> str:

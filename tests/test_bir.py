@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from coxmov.atlas import reduced_words, word_matrix
 from coxmov.bir import (BudgetError, GroupElementNF, PairClass, PsiWord,
-                        aut_codimension, eigen_pair, flop_pullback,
+                        _letter_nf, aut_codimension, eigen_pair, flop_pullback,
                         free_reduce, prefix_check, psi_from_t, psi_matrix,
                         psi_word_matrix, reduced_walk, swap_identity_holds,
                         t_normal_form, verify_free)
@@ -173,6 +173,66 @@ def test_normal_form_product_is_matrix_product(case):
     s, g, h = case
     assert (g * h).matrix(s) == g.matrix(s) * h.matrix(s)
     assert g.inverse().matrix(s) * g.matrix(s) == Matrix.identity(s.m)
+
+
+def _nf_by_letter_products(s, word):
+    # the normal form as a chain of per-letter products, one GroupElementNF
+    # multiplication per psi-letter
+    out = GroupElementNF.identity(s.m)
+    for (i, j, step) in word.single_letters():
+        out = out * _letter_nf(s.m, i, j, step)
+    return out
+
+
+@st.composite
+def psi_words_and_perms(draw):
+    """A system with n 2-5, m 3-6, a psi-word of up to 6 letters with
+    exponents +-1..+-3 (either index order), and two permutations."""
+    n, m = draw(st.integers(2, 5)), draw(st.integers(3, 6))
+    letters = []
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.lists(st.integers(1, m), min_size=2, max_size=2,
+                             unique=True))
+        e = draw(st.integers(1, 3)) * draw(st.sampled_from((1, -1)))
+        letters.append((i, j, e))
+    sigma, tau = (Permutation(tuple(draw(st.permutations(range(1, m + 1)))))
+                  for _ in range(2))
+    return build_system(n, m), PsiWord(letters), sigma, tau
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(psi_words_and_perms())
+def test_one_pass_normal_form_matches_letter_products(case):
+    s, word, sigma, tau = case
+    nf = t_normal_form(s, word)
+    assert nf == _nf_by_letter_products(s, word)
+    assert t_normal_form(s, word.inverse()) == nf.inverse()
+    assert (nf.inverse() * nf) == GroupElementNF.identity(s.m)
+    assert all(a != b for a, b in zip(nf.letters, nf.letters[1:]))
+    # permutations compose right to left: (sigma * tau)(i) = sigma(tau(i))
+    m = s.m
+    assert [(sigma * tau)(i) for i in range(1, m + 1)] == [
+        sigma(tau(i)) for i in range(1, m + 1)]
+    inv = sigma.inverse()
+    assert all(inv(sigma(i)) == i and sigma(inv(i)) == i
+               for i in range(1, m + 1))
+    assert (inv * sigma).is_identity and (sigma * inv).is_identity
+
+
+@pytest.mark.parametrize("pair", [(0, 2), (2, 0), (-1, 2), (2, -1),
+                                  (1, 4), (4, 1)])
+@pytest.mark.parametrize("e", [1, -1])
+def test_normal_form_rejects_out_of_range_indices(pair, e):
+    i, j = pair
+    msg = "^generator index out of range 1..3$"
+    for word in (PsiWord(((i, j, e),)),
+                 PsiWord(((1, 2, 1), (i, j, e)))):
+        with pytest.raises(IndexError, match=msg):
+            t_normal_form(S23, word)
+        with pytest.raises(IndexError, match=msg):
+            prefix_check(S23, word)
+    with pytest.raises(IndexError, match=msg):
+        psi_matrix(S23, i, j)
 
 
 def test_psi_from_t_examples():

@@ -14,10 +14,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coxmov.atlas import (BoundaryPatch, Chamber, ClassificationError,
-                          _t_columns, boundary_patches, classify,
-                          enumerate_chambers, fundamental_domain, word_matrix)
-from coxmov.bir import PairClass, eigen_pair, psi_word_matrix
-from coxmov.coxeter import build_system, perm_matrix
+                          ClassificationResult, _t_columns, boundary_patches,
+                          classify, enumerate_chambers, fundamental_domain,
+                          word_matrix)
+from coxmov.bir import (GroupElementNF, PairClass, eigen_pair, psi_from_t,
+                        psi_word_matrix, t_normal_form)
+from coxmov.coxeter import Permutation, build_system, perm_matrix
 from coxmov.exact import QuadExt
 from coxmov.linalg import (Matrix, primitive_int_vector,
                            primitive_quad_vector)
@@ -147,3 +149,68 @@ def test_classify_matches_matrix_walk(case, max_steps):
              else Matrix.identity(sys.m))
     assert (psi_word_matrix(sys, res.psi_word) * model * perm_matrix(res.perm)
             == word_matrix(sys, word))
+
+
+def _classify_through_fractions(sys, coords, max_steps):
+    # every coordinate through Fraction and the walk as matrix products; a
+    # failed walk gives (steps, last iterate)
+    word, iterate = _walk_by_matrices(sys, coords, max_steps)
+    if min(iterate) < 0:
+        return max_steps, iterate
+    psi = psi_from_t(sys, word)
+    residual = (t_normal_form(sys, psi).inverse()
+                * GroupElementNF(word, Permutation.identity(sys.m)))
+    model = residual.letters[0] if residual.letters else 0
+    return ClassificationResult(word, psi, model, residual.perm, iterate)
+
+
+@st.composite
+def typed_classes(draw):
+    # rationals with denominators 1-12 and numerators up to 2^70, moved
+    # into the tiled cone or not, each coordinate spelled as an int (when
+    # integral), a Fraction or a numeric string
+    sys, word = draw(systems_and_words(n_max=5, m_max=5, length_max=4))
+    big = st.integers(2 ** 64, 2 ** 70) | st.integers(-2 ** 70, -2 ** 64)
+    coords = tuple(Fraction(draw(st.integers(-12, 12) | big),
+                            draw(st.integers(1, 12))) for _ in range(sys.m))
+    if draw(st.booleans()):
+        coords = word_matrix(sys, word) * tuple(abs(x) for x in coords)
+    assume(any(coords))
+    spelled = []
+    for x in coords:
+        kinds = ["fraction", "str"] + (["int"] if x.denominator == 1 else [])
+        kind = draw(st.sampled_from(kinds))
+        spelled.append(x if kind == "fraction" else
+                       str(x) if kind == "str" else int(x))
+    return sys, tuple(spelled)
+
+
+@settings(FIXED, max_examples=150)
+@given(typed_classes(), st.integers(0, 8))
+def test_classify_input_types_match_fraction_scaling(case, max_steps):
+    sys, coords = case
+    want = _classify_through_fractions(sys, coords, max_steps)
+    if isinstance(want, tuple):
+        with pytest.raises(ClassificationError) as err:
+            classify(sys, coords, max_steps)
+        assert (err.value.steps, err.value.last_iterate) == want
+        assert all(type(x) is Fraction for x in err.value.last_iterate)
+        return
+    res = classify(sys, coords, max_steps)
+    assert res == want
+    assert all(type(x) is Fraction for x in res.nef_coords)
+
+
+def test_classify_float_input_goes_through_fraction():
+    s = build_system(2, 3)
+    for coords in ((-1.0, 4.0, 5.0), (0.1, 0.2, 0.3), (-0.5, 2.25, 3.0),
+                   (-1.0, 4, Fraction(5)), (True, 1, 1)):
+        res = classify(s, coords)
+        assert res == classify(s, tuple(Fraction(x) for x in coords))
+        assert all(type(x) is Fraction for x in res.nef_coords)
+    assert classify(s, (0.1, 0.2, 0.3)).nef_coords[0] == Fraction(
+        3602879701896397, 36028797018963968)
+    with pytest.raises(ValueError, match="NaN"):
+        classify(s, (float("nan"), 1, 1))
+    with pytest.raises(OverflowError):
+        classify(s, (float("inf"), 1, 1))
