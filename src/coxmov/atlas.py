@@ -158,7 +158,8 @@ def classify(sys: CoxeterSystem, coords, max_steps: int = DEFAULT_MAX_STEPS) -> 
         letters.append(i + 1)
         vec = [x + sys.n * worst for x in vec]
         vec[i] = -worst
-    iterate = tuple(Fraction(x, denom) for x in vec)
+    iterate = (tuple(map(Fraction, vec)) if denom == 1
+               else tuple(Fraction(x, denom) for x in vec))
     if min(vec) < 0:
         raise ClassificationError(
             f"no nonnegative iterate within {max_steps} steps "

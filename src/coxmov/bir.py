@@ -6,8 +6,9 @@ t_i * t_j * t_i * P(i j).  For n >= 2 every group element factors uniquely
 as a freely reduced word in the involutions t_k times a coordinate
 permutation, which is the normal form used for all word problems here.
 ``t_normal_form`` builds it in one pass over the psi-letters, on a stack of
-t-letters and the image list of the running permutation.  Word-level
-operations reject n = 1, where the braid relation
+t-letters and the image list of the running permutation; ``psi_from_t``
+peels a t-word in one pass, renaming letters through a permutation.
+Word-level operations reject n = 1, where the braid relation
 (t_i t_j)^3 = 1 breaks free reduction; the matrices themselves are fine
 for any n.
 """
@@ -288,19 +289,31 @@ def psi_from_t(sys: CoxeterSystem, letters) -> PsiWord:
     """Produce a psi-word whose chamber contains the chamber of a t-word.
 
     Peeling two letters at a time: for w = t_a t_b (rest), emit psi_{a,b}
-    and recurse on the reduced word t_b swap(rest) with swap = (a b).  The
+    and go on with the reduced word t_b swap(rest), swap = (a b).  The
     guarantee, tested via normal forms, is that the residual
     (psi-word)^{-1} * w has t-length <= 1, i.e. w.D lies inside the image
     of the fundamental region under the psi-word.
+
+    The stored word is never rewritten: ``sig`` maps each stored letter to
+    its current name and ``inv`` back, so a peel swaps two entries of
+    each, and only the first letter of swap(rest) can cancel against t_b.
     """
     _require_infinite_order(sys)
     w = free_reduce(letters)
+    if w and not (1 <= min(w) and max(w) <= sys.m):
+        raise IndexError(f"t-letter out of range 1..{sys.m}")
+    sig, inv = list(range(sys.m + 1)), list(range(sys.m + 1))
     out: list[tuple[int, int, int]] = []
-    while len(w) >= 2:
-        a, b = w[0], w[1]
+    head, pos = (w[0] if w else None), 1
+    while pos < len(w):
+        a, b = head, sig[w[pos]]
         out.append((a, b, 1))
-        mapped = tuple(b if k == a else (a if k == b else k) for k in w[2:])
-        w = free_reduce((b,) + mapped)
+        xa, xb = inv[a], inv[b]
+        sig[xa], sig[xb], inv[a], inv[b] = b, a, xb, xa
+        head, pos = b, pos + 1
+        if pos < len(w) and sig[w[pos]] == head:
+            head = sig[w[pos + 1]] if pos + 1 < len(w) else None
+            pos += 2
     return PsiWord(out)
 
 

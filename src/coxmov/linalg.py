@@ -10,9 +10,11 @@ run on Python ints: ``_scaled`` writes each row of the left operand and
 each column of the right one (or the vector) as integer numerators over
 one common denominator, so entry (i, j) is a single
 ``Fraction(sum(a_i * b_j), d_i * d_j)`` instead of about 2k ``Fraction``
-operations, each with its own gcd.  The entries stay ``Fraction``.  When
-any entry of either operand is not rational (``QuadExt``, or a mix of both
-kinds), the product takes the generic path through ``dot``.
+operations, each with its own gcd, or ``Fraction(sum)`` when that
+denominator is 1.  A matrix keeps both forms once computed, so a reused
+operand is scaled once; a kept form is empty when some entry is not
+rational (``QuadExt``), and products with it go through ``dot``.
+Products, ``transpose`` and ``columns`` do not re-normalise entries.
 """
 
 from __future__ import annotations
@@ -47,15 +49,20 @@ def _scaled(vectors):
     return out
 
 
-def _product(rows, cols):
-    """Entry (i, j) is rows[i] . cols[j], on ints when every entry is
-    rational, else through ``dot``."""
-    left = _scaled(rows)
-    right = left and _scaled(cols)
-    if right is None:
-        return [[dot(row, col) for col in cols] for row in rows]
-    return [[Fraction(sum(map(mul, a, b)), da * db) for b, db in right]
-            for a, da in left]
+def _product(rows, cols, left, right):
+    """Entry (i, j) is rows[i] . cols[j]: on ints from the ``_scaled`` forms
+    ``left`` and ``right``, or through ``dot`` when either is empty."""
+    if not (left and right):
+        cols = tuple(cols)
+        return tuple(tuple(dot(row, col) for col in cols) for row in rows)
+    out = []
+    for a, da in left:
+        row = []
+        for b, db in right:
+            s, d = sum(map(mul, a, b)), da * db
+            row.append(Fraction(s) if d == 1 else Fraction(s, d))
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def dot(u, v):
@@ -71,7 +78,7 @@ def dot(u, v):
 class Matrix:
     """Immutable exact matrix."""
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("rows", "nrows", "ncols", "_row_form", "_col_form")
 
     def __init__(self, rows):
         rows = tuple(tuple(_norm_entry(e) for e in row) for row in rows)
@@ -80,9 +87,28 @@ class Matrix:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows")
-        self.rows = rows
-        self.nrows = len(rows)
-        self.ncols = width
+        self.rows, self.nrows, self.ncols = rows, len(rows), width
+        self._row_form = self._col_form = None
+
+    @classmethod
+    def _of(cls, rows) -> "Matrix":
+        """A matrix on rows already normalised, taken as is."""
+        self = object.__new__(cls)
+        self.rows, self.nrows, self.ncols = rows, len(rows), len(rows[0])
+        self._row_form = self._col_form = None
+        return self
+
+    def _scaled_rows(self):
+        """``_scaled`` of the rows, computed once; () when not rational."""
+        if self._row_form is None:
+            self._row_form = _scaled(self.rows) or ()
+        return self._row_form
+
+    def _scaled_columns(self):
+        """``_scaled`` of the columns, computed once; () when not rational."""
+        if self._col_form is None:
+            self._col_form = _scaled(zip(*self.rows)) or ()
+        return self._col_form
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -117,11 +143,10 @@ class Matrix:
         return tuple(row[j - 1] for row in self.rows)
 
     def columns(self) -> tuple:
-        return tuple(self.column(j + 1) for j in range(self.ncols))
+        return tuple(zip(*self.rows))
 
     def transpose(self) -> "Matrix":
-        return Matrix([[self.rows[i][j] for i in range(self.nrows)]
-                       for j in range(self.ncols)])
+        return Matrix._of(tuple(zip(*self.rows)))
 
     def map(self, f) -> "Matrix":
         return Matrix([[f(e) for e in row] for row in self.rows])
@@ -154,11 +179,17 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("dimension mismatch")
-            return Matrix(_product(self.rows, other.transpose().rows))
+            left = self._scaled_rows()
+            right = left and other._scaled_columns()
+            return Matrix._of(_product(self.rows, zip(*other.rows),
+                                       left, right))
         if isinstance(other, (tuple, list)):
             if self.ncols != len(other):
                 raise ValueError("dimension mismatch")
-            return tuple(row[0] for row in _product(self.rows, (other,)))
+            left = self._scaled_rows()
+            right = left and _scaled((other,))
+            return tuple(row[0] for row in
+                         _product(self.rows, (other,), left, right))
         if isinstance(other, (int, Fraction, QuadExt)):
             return self.map(lambda e: e * other)
         return NotImplemented

@@ -235,7 +235,8 @@ def psef_patches(depth: int) -> list[PsefPatch]:
 
         def g(v):
             image = mat * v
-            assert all(x.denominator == 1 for x in image)
+            if any(x.denominator != 1 for x in image):
+                raise ArithmeticError("non-integral image")
             return tuple(x.numerator for x in image)
 
         gd1, gd2, ge3, gt1, gt2 = map(g, (d1, d2, e3, touch1, touch2))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxmov.atlas import reduced_words, word_matrix
+from coxmov.atlas import classify, reduced_words, word_matrix
 from coxmov.bir import (BudgetError, GroupElementNF, PairClass, PsiWord,
                         _letter_nf, aut_codimension, eigen_pair, flop_pullback,
                         free_reduce, prefix_check, psi_from_t, psi_matrix,
@@ -240,6 +240,77 @@ def test_psi_from_t_examples():
     assert psi_from_t(S23, ()).is_empty
     assert psi_from_t(S23, (1, 2)).letters == ((1, 2, 1),)
     assert psi_from_t(S23, (1, 2, 1)).letters == ((1, 2, 1),)
+
+
+def _psi_from_t_by_rewriting(letters):
+    """The quadratic peel: re-map and re-reduce the whole remaining word
+    after each emitted letter."""
+    w = free_reduce(letters)
+    out = []
+    while len(w) >= 2:
+        a, b = w[0], w[1]
+        out.append((a, b, 1))
+        mapped = tuple(b if k == a else (a if k == b else k) for k in w[2:])
+        w = free_reduce((b,) + mapped)
+    return PsiWord(out)
+
+
+def _random_reduced_word(rng, m, length):
+    word = []
+    for _ in range(length):
+        word.append(rng.choice([k for k in range(1, m + 1)
+                                if not word or k != word[-1]]))
+    return tuple(word)
+
+
+def test_linear_peel_matches_rewriting_peel():
+    # every peel that cancels at the junction, and every later peel, reads
+    # the letter names through the permutation and its inverse, so a
+    # missing cancel or a wrong swap of either changes the psi-word
+    rng = random.Random(2024)
+    cancels = 0
+    for _ in range(3000):
+        s = build_system(rng.randint(2, 5), rng.randint(3, 6))
+        word = _random_reduced_word(rng, s.m, rng.randint(0, 30))
+        want = _psi_from_t_by_rewriting(word)
+        assert psi_from_t(s, word) == want
+        cancels += len(word) - 1 - want.letter_length > 0
+    assert cancels > 1000
+    # unreduced input is reduced first, as before
+    assert psi_from_t(S33, (1, 1, 2, 3, 3, 1)) == \
+        _psi_from_t_by_rewriting((2, 1))
+
+
+def _class_of_word(s, word, nef_coords):
+    """W * nef_coords for the t-word W, by the integer t-action: t_k negates
+    coordinate k and adds n times it to every other coordinate."""
+    vec = list(nef_coords)
+    for k in reversed(word):
+        x = vec[k - 1]
+        vec = [y + s.n * x for y in vec]
+        vec[k - 1] = -x
+    return vec
+
+
+@pytest.mark.parametrize("n,m", [(3, 4), (2, 5)])
+def test_classify_round_trip_at_word_length_3000(n, m):
+    s = build_system(n, m)
+    rng = random.Random(n * 10 + m)
+    word = _random_reduced_word(rng, m, 3000)
+    nef = tuple(rng.randint(1, 5) for _ in range(m))
+    res = classify(s, _class_of_word(s, word, nef), max_steps=3000)
+    assert res.t_word == word and res.nef_coords == nef
+    assert res.psi_word == _psi_from_t_by_rewriting(word)
+    marking = GroupElementNF((res.model_index,) if res.model_index else (),
+                             res.perm)
+    assert t_normal_form(s, res.psi_word) * marking == \
+        GroupElementNF(word, Permutation.identity(m))
+
+
+def test_psi_from_t_rejects_out_of_range_letters():
+    for word in ((0, 1), (1, 4), (-1, 2)):
+        with pytest.raises(IndexError, match="out of range 1..3"):
+            psi_from_t(S23, word)
 
 
 def _all_reduced_words(m, depth):

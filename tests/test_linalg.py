@@ -287,3 +287,130 @@ def test_quadratic_and_mixed_products_match_naive_sum(case):
         naive_product(a, b)
     assert list(Matrix(a) * vec) == \
         [reduce(add, map(mul, row, vec)) for row in a]
+
+
+# -- the kept integer forms of each operand ------------------------------------
+
+def matrix_entries(kind, d):
+    """Entries of one matrix: all int, all rational, or rational with some
+    ``QuadExt`` (then its kept integer forms are empty)."""
+    if kind == "int":
+        return INTS
+    if kind == "fraction":
+        return st.one_of(FRACTIONS, INTS)
+    return st.one_of(FRACTIONS, INTS, quad_entries(d))
+
+
+@st.composite
+def product_sessions(draw):
+    """A pool of k x k matrices and a list of products over it: each step
+    multiplies two pool members, or a member by an int vector, and may put
+    the product back into the pool as a later operand."""
+    k = draw(st.integers(1, 4))
+    d = draw(st.sampled_from((2, 5)))
+    kinds = draw(st.lists(st.sampled_from(("int", "fraction", "mixed")),
+                          min_size=2, max_size=4))
+    pool = [grid(draw, matrix_entries(kind, d), k, k) for kind in kinds]
+    steps = draw(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99),
+                                    st.sampled_from(("keep", "drop", "vec"))),
+                          min_size=4, max_size=16))
+    vectors = draw(st.lists(st.lists(INTS, min_size=k, max_size=k),
+                            min_size=1, max_size=3))
+    return pool, steps, vectors
+
+
+def is_rational(rows):
+    return all(isinstance(x, (int, Fraction)) for row in rows for x in row)
+
+
+def assert_entry_types(values, rational):
+    for x in values:
+        assert type(x) is Fraction if rational else type(x) in (Fraction,
+                                                                QuadExt)
+
+
+@FIXED
+@given(product_sessions())
+def test_reused_operands_and_results_match_naive_sum(case):
+    # the same Matrix objects serve as left and right operands, several
+    # times each and in any order, so a product that read the row form of
+    # the right operand, or a stale or misplaced kept form, gives a wrong
+    # entry
+    pool, steps, vectors = case
+    mats = [Matrix(rows) for rows in pool]
+    for i, j, action in steps:
+        a, b = i % len(pool), j % len(pool)
+        if action == "vec":
+            vec = tuple(vectors[j % len(vectors)])
+            image = mats[a] * vec
+            assert list(image) == [reduce(add, map(mul, row, vec))
+                                   for row in pool[a]]
+            assert_entry_types(image, is_rational(pool[a]))
+            continue
+        prod = mats[a] * mats[b]
+        want = naive_product(pool[a], pool[b])
+        assert [list(r) for r in prod.rows] == want
+        assert_entry_types((x for r in prod.rows for x in r),
+                           is_rational(pool[a]) and is_rational(pool[b]))
+        if action == "keep":
+            pool.append(want)
+            mats.append(prod)
+
+
+@FIXED
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+       st.lists(INTS, min_size=16, max_size=16),
+       st.lists(st.builds(Fraction, INTS, st.integers(2, 12)),
+                min_size=16, max_size=16),
+       st.booleans())
+def test_integral_times_fractional_keeps_denominators(r, k, c, ints, fracs,
+                                                      flip):
+    # one side has denominator 1 everywhere and the other nowhere, so an
+    # entry may take the denominator-free path only when both do
+    whole = [ints[i * k:(i + 1) * k] for i in range(r)]
+    parts = [fracs[i * c:(i + 1) * c] for i in range(k)]
+    if flip:
+        whole, parts = ([fracs[i * k:(i + 1) * k] for i in range(r)],
+                        [ints[i * c:(i + 1) * c] for i in range(k)])
+    prod = Matrix(whole) * Matrix(parts)
+    assert [list(row) for row in prod.rows] == naive_product(whole, parts)
+    assert_rational_entries(x for row in prod.rows for x in row)
+    vec = tuple(fracs[:k]) if not flip else tuple(ints[:k])
+    image = Matrix(whole) * vec
+    assert list(image) == [reduce(add, map(mul, row, vec)) for row in whole]
+    assert_rational_entries(image)
+
+
+def test_integer_forms_are_computed_once_per_operand(monkeypatch):
+    from coxmov import linalg
+    calls = []
+    real = linalg._scaled
+
+    def counting(vectors):
+        calls.append(1)
+        return real(vectors)
+
+    monkeypatch.setattr(linalg, "_scaled", counting)
+    quad = Matrix([[QuadExt(1, 1, 2), 1], [0, Fraction(1, 3)]])
+    rat = Matrix([[1, Fraction(1, 2)], [3, 4]])
+    for _ in range(5):
+        quad * rat          # rows of quad: empty, so rat is not scaled
+        rat * quad          # rows of rat, columns of quad: empty
+        rat * rat           # columns of rat
+        quad * (1, 2)       # rows of quad again: no call
+    assert len(calls) == 4
+    for _ in range(5):
+        rat * (1, 2)        # a vector is scaled on every product
+    assert len(calls) == 9
+    assert quad * rat == Matrix(naive_product(quad.rows, rat.rows))
+    assert rat * quad == Matrix(naive_product(rat.rows, quad.rows))
+
+
+def test_transpose_and_columns():
+    rows = [[1, Fraction(1, 2), 3], [QuadExt(1, 1, 5), 0, -1]]
+    mat = Matrix(rows)
+    assert mat.columns() == tuple(mat.column(j) for j in (1, 2, 3))
+    assert mat.transpose() == Matrix([[r[j] for r in rows] for j in range(3)])
+    assert (mat.transpose().nrows, mat.transpose().ncols) == (3, 2)
+    assert_entry_types((x for col in mat.columns() for x in col), False)
+    assert mat.transpose().transpose() == mat

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -255,3 +256,13 @@ def test_psef_vertices_present_at_any_depth():
     d1, d2 = d_classes()
     rays = {r for p in patches for r in p.rays}
     assert d1 in rays and d2 in rays
+
+
+def test_psef_patches_refuse_non_integral_images(monkeypatch):
+    # an explicit check, not an assert, so it holds under python -O too
+    from coxmov import symmetric
+    half = Matrix([[Fraction(1, 2), 0, 0], [0, 1, 0], [0, 0, 1]])
+    monkeypatch.setattr(symmetric, "_sym_walk",
+                        lambda depth: iter([(SymWord.identity(), half)]))
+    with pytest.raises(ArithmeticError, match="^non-integral image$"):
+        psef_patches(0)
