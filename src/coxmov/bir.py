@@ -397,9 +397,9 @@ def eigen_pair(sys: CoxeterSystem, i: int, j: int):
     if n == 2:
         return PairClass.UNIPOTENT
     # lambda = ((n^2-2) + n*sqrt((n-2)(n+2)))/2: factor (n-2)(n+2), not
-    # the discriminant n^2(n^2-4)
+    # the discriminant n^2(n^2-4); d > 1, as n^2 - 4 is no square for n >= 3
     s, d = squarefree_decompose((n - 2) * (n + 2))
-    lam = QuadExt(Fraction(n * n - 2, 2), Fraction(n * s, 2), d)
+    lam = QuadExt._reduced(Fraction(n * n - 2, 2), Fraction(n * s, 2), d)
     vec = [(lam + 1) * (n - (n + 2) * (r == i)) + n * (n - (n + 2) * (r == j))
            for r in range(1, m + 1)]
     return EigenPair(lam, primitive_quad_vector([v / vec[-1] for v in vec]))

@@ -4,8 +4,9 @@ Subcommands: system, chambers, classify, boundary, symmetric, verify.
 Output is JSON (schema-versioned) or SVG 1.1 on stdout (or --out FILE);
 repeated runs with the same inputs produce byte-identical output.
 
-Exit codes: 0 success, 2 usage, parameter or --out file error (with an error
-JSON on stderr), 3 domain failure (classification walk hit its step cap).
+Exit codes: 0 success, 1 a verify check failed, 2 usage, parameter or
+--out file error (with an error JSON on stderr), 3 domain failure
+(classification walk hit its step cap).
 An --out file is checked for writability before any computation; a file
 the run created is removed again when nothing was written to it.
 The only environment knob is COXMOV_WORD_BUDGET, the global cap on

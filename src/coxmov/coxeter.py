@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from .linalg import Matrix
@@ -79,20 +80,9 @@ class Permutation:
         return self.images == tuple(range(1, self.degree + 1))
 
     def sign(self) -> int:
-        seen = [False] * self.degree
-        sgn = 1
-        for i in range(1, self.degree + 1):
-            if seen[i - 1]:
-                continue
-            length = 0
-            j = i
-            while not seen[j - 1]:
-                seen[j - 1] = True
-                j = self(j)
-                length += 1
-            if length % 2 == 0:
-                sgn = -sgn
-        return sgn
+        """(-1) to the number of inversions."""
+        inversions = sum(a > b for a, b in combinations(self.images, 2))
+        return -1 if inversions % 2 else 1
 
 
 def perm_matrix(sigma: Permutation) -> Matrix:

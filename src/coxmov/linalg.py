@@ -2,8 +2,11 @@
 
 Matrices are immutable tuples-of-tuples.  Entries are ``Fraction`` (integer
 inputs are promoted) or ``QuadExt``; every operation is exact.  Sizes here
-are tiny (the Picard rank m), so plain Gaussian elimination with exact
-division is the right tool.
+are tiny (the Picard rank m), so two textbook algorithms with exact
+division do all the work: Gauss-Jordan elimination (``_row_reduce``) for
+``det``, ``inverse`` and ``nullspace_vector``, and the Faddeev-LeVerrier
+recursion for ``charpoly``, whose coefficients give ``signature`` by
+Descartes' rule of signs.
 
 Products (``Matrix * Matrix`` and ``Matrix * vector``) of rational operands
 run on Python ints: ``_scaled`` writes each row of the left operand and
@@ -259,53 +262,22 @@ class Matrix:
     def signature(self) -> tuple[int, int, int]:
         """Exact inertia (positives, negatives, zeros) of a symmetric matrix.
 
-        Congruence reduction: split off a nonzero diagonal pivot when one
-        exists, otherwise a hyperbolic 2x2 block (which contributes one
-        positive and one negative).  No floating point anywhere.
+        Descartes' rule of signs on the characteristic polynomial p: the
+        sign changes of its non-zero coefficients count the positive
+        eigenvalues, those of p(-x) the negative ones.  The count is exact
+        because a real symmetric matrix has only real eigenvalues.
         """
         if not self.is_symmetric():
             raise ValueError("signature of a non-symmetric matrix")
-        a = [list(r) for r in self.rows]
-        idx = list(range(self.nrows))
-        pos = neg = zero = 0
-        while idx:
-            piv = next((i for i in idx if a[i][i] != 0), None)
-            if piv is not None:
-                p = a[piv][piv]
-                if p > 0:
-                    pos += 1
-                else:
-                    neg += 1
-                idx.remove(piv)
-                for r in idx:
-                    if a[r][piv] != 0:
-                        f = a[r][piv] / p
-                        for c in idx:
-                            a[r][c] -= f * a[piv][c]
-                # column entries in the eliminated rows are now stale but
-                # never read again: we only touch the active index set
-                for r in idx:
-                    a[r][piv] = Fraction(0)
-                continue
-            off = next(((i, j) for i in idx for j in idx
-                        if j != i and a[i][j] != 0), None)
-            if off is None:
-                zero += len(idx)
-                break
-            i, j = off
-            q = a[i][j]
-            pos += 1
-            neg += 1
-            idx.remove(i)
-            idx.remove(j)
-            for r in idx:
-                ri, rj = a[r][i], a[r][j]
-                if ri != 0 or rj != 0:
-                    for c in idx:
-                        a[r][c] -= (ri * a[j][c] + rj * a[i][c]) / q
-            for r in idx:
-                a[r][i] = a[r][j] = Fraction(0)
-        return pos, neg, zero
+        coeffs = self.charpoly()
+
+        def changes(cs):
+            signs = [c > 0 for c in cs if c != 0]
+            return sum(a != b for a, b in zip(signs, signs[1:]))
+
+        pos = changes(coeffs)
+        neg = changes([-c if k % 2 else c for k, c in enumerate(coeffs)])
+        return pos, neg, self.nrows - pos - neg
 
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in row) for row in self.rows)

@@ -456,6 +456,26 @@ def test_eigen_pair_markers():
             eigen_pair(build_system(n, 3), i, j)
 
 
+def test_eigen_pair_factors_the_radicand_once(monkeypatch):
+    import coxmov.bir
+    import coxmov.exact
+    calls = []
+    original = coxmov.exact.squarefree_decompose
+
+    def counting(k):
+        calls.append(k)
+        return original(k)
+
+    monkeypatch.setattr(coxmov.bir, "squarefree_decompose", counting)
+    monkeypatch.setattr(coxmov.exact, "squarefree_decompose", counting)
+    for n in (3, 4, 12):
+        del calls[:]
+        value = eigen_pair(build_system(n, 3), 1, 2).value
+        assert calls == [(n - 2) * (n + 2)], n
+        oracle = quad_roots(-(n * n - 2), 1)[0]
+        assert (value.a, value.b, value.d) == (oracle.a, oracle.b, oracle.d)
+
+
 def test_eigen_pair_exact():
     # the closed-form eigenvector against a kernel vector of the shifted
     # product, for every ordered pair, including i > j and i = m

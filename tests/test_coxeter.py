@@ -93,6 +93,8 @@ def test_perm_homomorphism_exhaustive():
     for a in perms:
         for b in perms:
             assert perm_matrix(a) * perm_matrix(b) == perm_matrix(a * b)
+    for k in (3, 4):
+        for a in (Permutation(p) for p in permutations(range(1, k + 1))):
             assert perm_matrix(a).det() == a.sign()
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -8,9 +9,13 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import coxmov.linalg
 from coxmov import checks, cli, jsonio
-from coxmov.atlas import boundary_patches, classify, enumerate_chambers
+from coxmov.atlas import (boundary_patches, classify, enumerate_chambers,
+                          fundamental_domain)
 from coxmov.bir import PsiWord
 from coxmov.cli import main
 from coxmov.coxeter import CoxeterSystem, build_system
@@ -82,6 +87,33 @@ def test_word_and_aggregate_roundtrips():
     assert back == res
 
 
+def _through_json(to_obj, from_obj, x):
+    return from_obj(json.loads(jsonio.dumps(to_obj(x))))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(2, 4), st.integers(3, 4), st.integers(0, 2), st.data())
+def test_listing_roundtrips(n, m, depth, data):
+    # n = 2 gives rational apexes, n >= 3 apexes in Q(sqrt(d))
+    sys = build_system(n, m)
+    chambers = fundamental_domain(sys) + enumerate_chambers(sys, depth)
+    for ch in chambers:
+        assert _through_json(jsonio.chamber_to_obj, jsonio.obj_to_chamber,
+                             ch) == ch
+    for p in boundary_patches(sys, depth):
+        assert _through_json(jsonio.patch_to_obj, jsonio.obj_to_patch, p) == p
+    # a point inside a listed chamber: positive weights on its rays
+    rays = data.draw(st.sampled_from(chambers)).rays
+    weights = data.draw(st.lists(
+        st.builds(Fraction, st.integers(1, 9), st.integers(1, 4)),
+        min_size=m, max_size=m))
+    point = tuple(sum(w * r[k] for w, r in zip(weights, rays))
+                  for k in range(m))
+    res = classify(sys, point)
+    assert _through_json(jsonio.classification_to_obj,
+                         jsonio.obj_to_classification, res) == res
+
+
 def test_system_generators_match_matrix_oracle():
     # the generators come from the integer column walk; t(i) builds the
     # same matrices from its own closed form
@@ -116,6 +148,56 @@ def test_system_document_builds_no_generator_matrix(monkeypatch):
     assert [row[4] for row in t5] == ["3"] * 4 + ["-1"] + ["3"] * 37
     # only the Gram and quadric entries go through Fraction
     assert len(converted) == 2 * 42 * 42
+
+
+def _refuse_generic_matrix_path(monkeypatch):
+    """Patch in raising stubs for the generic Matrix products, the
+    generator matrices and every module binding of primitive_int_vector."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("production path reached the generic Matrix path")
+
+    monkeypatch.setattr(Matrix, "__mul__", refuse)
+    monkeypatch.setattr(Matrix, "__pow__", refuse)
+    monkeypatch.setattr(CoxeterSystem, "t", refuse)
+    original = coxmov.linalg.primitive_int_vector
+    bound = []
+    for name in ("coxmov", "coxmov.linalg", "coxmov.symmetric"):
+        module = importlib.import_module(name)
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, refuse)
+                bound.append(f"{name}.{attr}")
+    assert len(bound) == 3, bound
+
+
+MATRIX_FREE_RUNS = [
+    ("system", "--n", "3", "--m", "5"),
+    ("chambers", "--n", "2", "--m", "3", "--depth", "3"),
+    ("chambers", "--n", "3", "--m", "4", "--depth", "2"),
+    ("chambers", "--n", "2", "--m", "3", "--depth", "3", "--format", "svg"),
+    ("classify", "--n", "3", "--m", "4", "--class", "8405,-2254,6160,9207"),
+    ("boundary", "--n", "2", "--m", "3", "--depth", "2"),
+    ("boundary", "--n", "2", "--m", "3", "--depth", "2", "--format", "svg"),
+    ("boundary", "--n", "3", "--m", "4", "--depth", "2"),
+    ("boundary", "--n", "3", "--m", "3", "--depth", "2", "--format", "svg"),
+]
+# the symmetric walk still multiplies 3x3 Matrix products and rescales each
+# ray (ROADMAP items 1, 2 and 13): remove the marker when it runs on ints
+SYMMETRIC_WALK = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="symmetric still runs on Matrix (ROADMAP items 1, 2 and 13)")
+
+
+@pytest.mark.parametrize("argv", MATRIX_FREE_RUNS + [
+    pytest.param(("symmetric", "--layer", layer, "--depth", "2"),
+                 marks=SYMMETRIC_WALK) for layer in ("movable", "psef")])
+def test_production_path_is_matrix_free(capsys, monkeypatch, argv):
+    _refuse_generic_matrix_path(monkeypatch)
+    code, guarded, _ = run_cli(capsys, *argv)
+    assert code == 0
+    monkeypatch.undo()
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0 and guarded == plain
 
 
 # -- CLI ---------------------------------------------------------------------

@@ -78,18 +78,55 @@ def test_signature_hyperbolic_blocks():
     assert Matrix([[0, 2, 0], [2, 0, 0], [0, 0, 5]]).signature() == (2, 1, 0)
 
 
-def test_signature_congruence_invariance():
-    # Sylvester: signature(P A P^T) == signature(A) for invertible P
-    rng = random.Random(17)
-    for _ in range(30):
-        n = rng.randint(2, 4)
-        a = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        a = a + a.transpose()
-        while True:
-            p = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-            if p.det() != 0:
-                break
-        assert (p * a * p.transpose()).signature() == a.signature()
+# real quadratic scalars with their signs, checked by hand
+QUAD_OF_KNOWN_SIGN = {
+    d: tuple((QuadExt(a, b, d), sign) for a, b, sign in table)
+    for d, table in {
+        2: ((1, 1, 1), (1, -1, -1), (-3, 2, -1), (3, -2, 1),
+            (0, Fraction(1, 2), 1), (0, -1, -1)),
+        5: ((1, -1, -1), (-2, 1, 1), (9, -4, 1), (-9, 4, -1),
+            (Fraction(1, 2), 1, 1)),
+    }.items()}
+
+
+@st.composite
+def congruent_diagonals(draw):
+    """(A, Q A Q^T, expected inertia) with A = P D P^T, D diagonal of known
+    signs and P, Q invertible integer matrices (triangular with a non-zero
+    diagonal, times a permutation)."""
+    n = draw(st.integers(1, 5))
+    quads = QUAD_OF_KNOWN_SIGN[draw(st.sampled_from((2, 5)))]
+    entries = draw(st.lists(st.one_of(
+        st.integers(-3, 3).map(lambda k: (Fraction(k), (k > 0) - (k < 0))),
+        st.sampled_from(quads)), min_size=n, max_size=n))
+    diag = Matrix([[entries[i][0] if i == j else 0 for j in range(n)]
+                   for i in range(n)])
+    signs = [sign for _, sign in entries]
+    expected = (signs.count(1), signs.count(-1), signs.count(0))
+
+    def invertible(lower):
+        pivot, off = st.sampled_from((-2, -1, 1, 3)), st.integers(-2, 2)
+        tri = Matrix([[draw(pivot) if i == j else
+                       (draw(off) if (i > j) == lower else 0)
+                       for j in range(n)] for i in range(n)])
+        perm = draw(st.permutations(range(n)))
+        return tri * Matrix([[int(perm[i] == j) for j in range(n)]
+                             for i in range(n)])
+
+    p, q = invertible(True), invertible(False)
+    a = p * diag * p.transpose()
+    return a, q * a * q.transpose(), expected
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(congruent_diagonals())
+def test_signature_congruence_invariance(case):
+    # Sylvester: P D P^T has the inertia of the diagonal D it is built from,
+    # and so has every further congruent Q (P D P^T) Q^T
+    a, b, expected = case
+    assert a.is_symmetric() and b.is_symmetric()
+    assert a.signature() == expected
+    assert b.signature() == expected
 
 
 def test_inverse():
