@@ -5,7 +5,7 @@ H_1, ..., H_m.  Its orbit under the group generated by the t_i tiles the
 effective movable cone; chambers are indexed by freely reduced t-words.
 This module enumerates that tiling, classifies divisor classes to a marked
 minimal model by walking back to the fundamental region, and samples the
-boundary (apex eigenvectors over the quadratic field plus rational rays).
+boundary: apexes over Q(sqrt(d)), computed as integer pairs, and integer rays.
 
 Every t-word listing walks the m integer columns of the word matrix:
 t_k is the identity with column k replaced by (n, ..., n, -1, n, ..., n),
@@ -25,12 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .bir import (GroupElementNF, PsiWord, _require_infinite_order,
                   eigen_pair, psi_from_t, reduced_walk, t_normal_form)
 from .coxeter import CoxeterSystem, Permutation
 from .exact import QuadExt
-from .linalg import Matrix, dot, primitive_quad_vector
+from .linalg import Matrix, _primitive_pair, dot
 
 DEFAULT_MAX_STEPS = 1000
 
@@ -196,7 +197,8 @@ def boundary_patches(sys: CoxeterSystem, depth: int,
 
     For every reduced t-word w and unordered generator pair (i, j): the
     cone spanned by w.v (v the eigenvector of t_i t_j for the eigenvalue
-    > 1; zero for n = 2) and the rays w.H_k for k != i, j.
+    > 1; zero for n = 2) and the rays w.H_k for k != i, j.  On ints, with
+    v = P + Q*sqrt(d), the apex is ``_primitive_pair`` of (w.P, w.Q).
 
     Which (word, pair) items are kept is a rule on the last letter.  For
     n = 2, t_i and t_j fix every H_k with k != i, j and the apex is zero,
@@ -209,8 +211,11 @@ def boundary_patches(sys: CoxeterSystem, depth: int,
     _require_infinite_order(sys)
     n, m = sys.n, sys.m
     pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
-    vectors = {} if n == 2 else {
-        (i, j): eigen_pair(sys, i, j).vector for (i, j) in pairs}
+    vectors, d = {}, 0      # v = P + Q*sqrt(d) as the integer lists (P, Q)
+    for pair in pairs if n > 2 else ():
+        v = eigen_pair(sys, *pair).vector
+        vectors[pair] = [int(x.a) for x in v], [int(x.b) for x in v]
+        d = max(x.d for x in v)
     zero_apex = tuple(QuadExt(0) for _ in range(m))
     out: list[BoundaryPatch] = []
     for letters, cols in _t_columns(sys, depth, budget):
@@ -220,8 +225,8 @@ def boundary_patches(sys: CoxeterSystem, depth: int,
                 continue
             base = tuple(sorted(cols[k - 1]
                                 for k in range(1, m + 1) if k not in (i, j)))
-            apex = zero_apex if n == 2 else primitive_quad_vector(
-                tuple(dot(row, vectors[(i, j)]) for row in rows))
+            apex = zero_apex if n == 2 else _primitive_pair(*[
+                [sum(map(mul, r, u)) for r in rows] for u in vectors[(i, j)]], d)
             out.append(BoundaryPatch((i, j), letters, apex, base))
     return out
 

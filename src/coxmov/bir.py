@@ -19,10 +19,11 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 
 from .coxeter import CoxeterSystem, Permutation, perm_matrix
 from .exact import QuadExt, squarefree_decompose
-from .linalg import Matrix, primitive_quad_vector
+from .linalg import Matrix, _primitive_pair
 
 DEFAULT_WORD_BUDGET = 10 ** 6
 BUDGET_ENV_VAR = "COXMOV_WORD_BUDGET"
@@ -384,8 +385,10 @@ def eigen_pair(sys: CoxeterSystem, i: int, j: int):
     For n >= 3 returns the EigenPair for the root lambda > 1 of
     x^2 - (n^2 - 2)x + 1; for n = 2 and n = 1 returns the matching
     PairClass marker (unipotent, finite order).  t_i * t_j maps c_i, c_j
-    (c_k = n*ones - (n+2)*e_k) by [[n^2-1, -n], [n, -1]], so the vector,
-    scaled to last coordinate 1, is (lambda+1)*c_i + n*c_j made primitive.
+    (c_k = n*ones - (n+2)*e_k) by [[n^2-1, -n], [n, -1]]; with s*s*d =
+    (n-2)(n+2), d > 1 squarefree, the vector (lambda+1)*c_i + n*c_j is n/2
+    times the integer pair P + Q*sqrt(d), P = n*c_i + 2*c_j, Q = s*c_i; it
+    is returned times the conjugate of its last coordinate, made primitive.
     """
     if i == j:
         raise ValueError("need two distinct indices")
@@ -396,13 +399,16 @@ def eigen_pair(sys: CoxeterSystem, i: int, j: int):
         return PairClass.FINITE_ORDER
     if n == 2:
         return PairClass.UNIPOTENT
-    # lambda = ((n^2-2) + n*sqrt((n-2)(n+2)))/2: factor (n-2)(n+2), not
-    # the discriminant n^2(n^2-4); d > 1, as n^2 - 4 is no square for n >= 3
-    s, d = squarefree_decompose((n - 2) * (n + 2))
+    # the squarefree parts of n-2 and n+2 share at most the prime 2
+    (s1, d1), (s2, d2) = map(squarefree_decompose, (n - 2, n + 2))
+    g = gcd(d1, d2)
+    s, d = s1 * s2 * g, d1 * d2 // (g * g)
     lam = QuadExt._reduced(Fraction(n * n - 2, 2), Fraction(n * s, 2), d)
-    vec = [(lam + 1) * (n - (n + 2) * (r == i)) + n * (n - (n + 2) * (r == j))
-           for r in range(1, m + 1)]
-    return EigenPair(lam, primitive_quad_vector([v / vec[-1] for v in vec]))
+    ci, cj = ([n - (n + 2) * (r == k) for r in range(1, m + 1)] for k in (i, j))
+    pq = [(n * x + 2 * y, s * x) for x, y in zip(ci, cj)]
+    pm, qm = pq[-1]
+    return EigenPair(lam, _primitive_pair([p * pm - q * qm * d for p, q in pq],
+                                          [q * pm - p * qm for p, q in pq], d))
 
 
 def aut_codimension(n: int, m: int) -> int:

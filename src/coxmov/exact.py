@@ -40,6 +40,14 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return s, d * m
 
 
+def _sign(a, b, d: int) -> int:
+    """Exact sign of a + b*sqrt(d), d >= 0: equal signs of a and b decide,
+    else the larger of a*a and b*b*d does (zero when they are equal)."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    t = a * a - b * b * d
+    return sa if sa == sb or t > 0 else (sb if t < 0 else 0)
+
+
 class QuadExt:
     """An element a + b*sqrt(d) of the real quadratic field Q(sqrt(d)).
 
@@ -96,7 +104,7 @@ class QuadExt:
                 raise ValueError(f"mixed radicands {self.d} and {other.d}")
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadExt(other)
+            return QuadExt._reduced(Fraction(other), Fraction(0), 0)
         return None
 
     def _radicand_with(self, other: "QuadExt") -> int:
@@ -174,20 +182,7 @@ class QuadExt:
 
     def sign(self) -> int:
         """Exact sign of the real number a + b*sqrt(d)."""
-        a, b, d = self.a, self.b, self.d
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a*a against b*b*d
-        lhs, rhs = a * a, b * b * d
-        if a > 0:
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
+        return _sign(self.a, self.b, self.d)
 
     def __eq__(self, other):
         try:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .exact import QuadExt
+from .exact import QuadExt, _sign
 
 
 def _norm_entry(e):
@@ -343,28 +343,27 @@ def primitive_int_vector(vec) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-def primitive_quad_vector(vec) -> tuple[QuadExt, ...]:
-    """Primitive form of a quadratic-field vector.
-
-    Clears denominators, divides by the content of all rational and radical
-    coefficients, then fixes the sign so the coordinate sum is >= 0 (first
-    nonzero coordinate decides when the sum vanishes).
-    """
-    vals = [v if isinstance(v, QuadExt) else QuadExt(v) for v in vec]
-    if all(v.a == 0 and v.b == 0 for v in vals):
+def _primitive_pair(a, b, d: int) -> tuple[QuadExt, ...]:
+    """Primitive form of a + b*sqrt(d), a and b integer lists: divided by
+    the gcd of all their entries, signed so the coordinate sum is positive
+    (the first nonzero coordinate decides when the sum vanishes)."""
+    g = gcd(*a, *b)
+    if g == 0:
         raise ValueError("zero vector has no primitive form")
+    g *= _sign(sum(a), sum(b), d) or next(
+        filter(None, map(_sign, a, b, [d] * len(a))))
+    return tuple(QuadExt._reduced(Fraction(x // g), Fraction(y // g), d)
+                 for x, y in zip(a, b))
+
+
+def primitive_quad_vector(vec) -> tuple[QuadExt, ...]:
+    """Primitive form of a quadratic-field vector: ``_primitive_pair`` of
+    its rational and radical coefficients, denominators cleared."""
+    vals = [v if isinstance(v, QuadExt) else QuadExt(v) for v in vec]
+    radicands = {v.d for v in vals if v.b}
+    if len(radicands) > 1:
+        raise ValueError(f"mixed radicands {sorted(radicands)}")
     denom = lcm(*(x.denominator for v in vals for x in (v.a, v.b)))
-    nums = [x.numerator * denom // x.denominator
-            for v in vals for x in (v.a, v.b)]
-    g = gcd(*nums)
-    scale = Fraction(denom, g)
-    vals = [v * scale for v in vals]
-    total = vals[0]
-    for v in vals[1:]:
-        total = total + v
-    s = total.sign()
-    if s == 0:
-        s = next(v.sign() for v in vals if v.sign() != 0)
-    if s < 0:
-        vals = [-v for v in vals]
-    return tuple(vals)
+    return _primitive_pair([int(v.a * denom) for v in vals],
+                           [int(v.b * denom) for v in vals],
+                           max(radicands, default=0))

@@ -11,7 +11,7 @@ from coxmov.bir import (BudgetError, GroupElementNF, PairClass, PsiWord,
                         psi_word_matrix, reduced_walk, swap_identity_holds,
                         t_normal_form, verify_free)
 from coxmov.coxeter import Permutation, build_system
-from coxmov.exact import QuadExt, quad_roots
+from coxmov.exact import QuadExt, quad_roots, squarefree_decompose
 from coxmov.linalg import Matrix, nullspace_vector, primitive_quad_vector
 
 S23 = build_system(2, 3)
@@ -471,9 +471,19 @@ def test_eigen_pair_factors_the_radicand_once(monkeypatch):
     for n in (3, 4, 12):
         del calls[:]
         value = eigen_pair(build_system(n, 3), 1, 2).value
-        assert calls == [(n - 2) * (n + 2)], n
+        # n-2 and n+2 apart, never their product (quadratic in n)
+        assert calls == [n - 2, n + 2], n
         oracle = quad_roots(-(n * n - 2), 1)[0]
         assert (value.a, value.b, value.d) == (oracle.a, oracle.b, oracle.d)
+
+
+def test_eigen_pair_radicand_matches_product_decomposition():
+    # lambda = (n^2 - 2 + n*s*sqrt(d))/2 with (s, d) the decomposition of
+    # (n-2)(n+2); n = 10000455 makes n-2 and n+2 both prime
+    for n in list(range(3, 3001)) + [10000455]:
+        value = eigen_pair(build_system(n, 3), 1, 2).value
+        assert (2 * value.b / n, value.d) == squarefree_decompose(
+            (n - 2) * (n + 2)), n
 
 
 def test_eigen_pair_exact():

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coxmov import exact
 from coxmov.exact import QuadExt, quad_roots, sqrt_exact, squarefree_decompose
 
 
@@ -90,6 +91,65 @@ def test_quadext_ordering_matches_integer_comparison(a, b, c, e, d):
     assert (x < y, x <= y, x == y, x >= y, x > y) == \
         (s < 0, s <= 0, s == 0, s >= 0, s > 0)
     assert (x - y).sign() == s
+
+
+def _branchy_sign(a, b, d):
+    """The case-by-case sign rule ``QuadExt.sign`` used to carry, kept as a
+    reference (d > 0 whenever b != 0, as in a ``QuadExt``)."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    lhs, rhs = a * a, b * b * d
+    if a > 0:
+        return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
+    return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(RATIONALS, RATIONALS, st.integers(0, 60))
+# zeros with a non-squarefree d: 2 - sqrt(4), -3 + sqrt(9), 1/2 - sqrt(4)/4
+@example((2, 1), (-1, 1), 4)
+@example((-3, 1), (1, 1), 9)
+@example((6, 1), (-3, 1), 4)
+@example((1, 2), (-1, 4), 4)
+@example((0, 1), (5, 1), 0)
+def test_sign_rule_matches_branchy_reference(a, b, d):
+    a, b = Fraction(*a), Fraction(*b)
+    expected = _branchy_sign(a, b if d else 0, d)    # sqrt(0) = 0
+    assert exact._sign(a, b, d) == expected
+    num = a.numerator * b.denominator, b.numerator * a.denominator
+    assert exact._sign(*num, d) == _sign(*num, d) == expected
+    assert QuadExt(a, b, d).sign() == expected
+
+
+MIXED = st.one_of(st.integers(-30, 30), RATIONALS.map(lambda t: Fraction(*t)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(RATIONALS, RATIONALS, st.integers(0, 30), MIXED)
+def test_rational_operand_lifts_like_the_constructor(a, b, d, x):
+    # an int or Fraction operand takes the fast lift; every mixed result
+    # equals the one through the public constructor QuadExt(x)
+    q, qx = QuadExt(Fraction(*a), Fraction(*b), d), QuadExt(x)
+    assert _fields(q._lift(x)) == _fields(qx) == (Fraction(x), 0, 0)
+    pairs = [(q + x, q + qx), (x + q, qx + q), (q - x, q - qx),
+             (x - q, qx - q), (q * x, q * qx), (x * q, qx * q)]
+    if x:
+        pairs.append((q / x, q / qx))
+    if q:
+        pairs.append((x / q, qx / q))
+    for got, want in pairs:
+        assert type(got.a) is type(got.b) is Fraction
+        assert _fields(got) == _fields(want)
+    assert ((q < x, q <= x, q == x, q != x, q >= x, q > x)
+            == (q < qx, q <= qx, q == qx, q != qx, q >= qx, q > qx))
+    assert ((x < q, x <= q, x == q, x >= q, x > q)
+            == (qx < q, qx <= q, qx == q, qx >= q, qx > q))
 
 
 def test_quad_roots_golden():

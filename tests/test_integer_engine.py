@@ -1,5 +1,5 @@
-"""The integer engine (column walk, classification walk) against generic
-``Matrix`` products.
+"""The integer engine (column walk, classification walk, integer-pair
+apexes) against generic ``Matrix`` products and ``QuadExt`` arithmetic.
 
 Each property draws its cases from a fixed seed (derandomized), so the
 suite stays deterministic.
@@ -8,9 +8,10 @@ suite stays deterministic.
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coxmov.atlas import (BoundaryPatch, Chamber, ClassificationError,
@@ -21,7 +22,7 @@ from coxmov.bir import (GroupElementNF, PairClass, eigen_pair, psi_from_t,
                         psi_word_matrix, t_normal_form)
 from coxmov.coxeter import Permutation, build_system, perm_matrix
 from coxmov.exact import QuadExt
-from coxmov.linalg import (Matrix, primitive_int_vector,
+from coxmov.linalg import (Matrix, dot, primitive_int_vector,
                            primitive_quad_vector)
 
 FIXED = settings(derandomize=True, database=None, deadline=None,
@@ -104,6 +105,75 @@ def test_listings_match_matrix_products(n, m, depth):
         for c in _chambers_by_matrices(sys, 1)]
     assert (_fields(boundary_patches(sys, depth))
             == _fields(_patches_by_matrices(sys, depth)))
+
+
+def _quad_fields(x):
+    return x.a, x.b, x.d
+
+
+def _normalise_by_field_arithmetic(vec):
+    """The primitive form of a Q(sqrt(d)) vector through ``QuadExt``
+    arithmetic: scale by denom/gcd, then negate when the coordinate sum (or,
+    when that is zero, the first nonzero coordinate) is negative."""
+    vals = [v if isinstance(v, QuadExt) else QuadExt(v) for v in vec]
+    denom = lcm(*(x.denominator for v in vals for x in (v.a, v.b)))
+    g = gcd(*(x.numerator * denom // x.denominator
+              for v in vals for x in (v.a, v.b)))
+    vals = [v * Fraction(denom, g) for v in vals]
+    total = vals[0]
+    for v in vals[1:]:
+        total = total + v
+    s = total.sign() or next(v.sign() for v in vals if v.sign())
+    return tuple(-v for v in vals) if s < 0 else tuple(vals)
+
+
+@settings(FIXED, max_examples=15)
+@given(st.sampled_from((3, 4, 5, 6, 9, 10, 101)), st.integers(3, 5),
+       st.integers(0, 3))
+@example(101, 3, 3)
+@example(101, 5, 2)
+@example(6, 5, 3)
+def test_integer_pair_apexes_match_field_arithmetic(n, m, depth):
+    # every apex w.v, with v the QuadExt eigenvector, as a dot over
+    # Q(sqrt(d)) made primitive by the adapter and by the reference
+    sys = build_system(n, m)
+    rows = {w: tuple(zip(*cols)) for w, cols in _t_columns(sys, depth)}
+    patches = boundary_patches(sys, depth)
+    vectors = {pair: eigen_pair(sys, *pair).vector
+               for pair in {p.pair for p in patches}}
+    for p in patches:
+        image = tuple(dot(row, vectors[p.pair]) for row in rows[p.word])
+        want = _normalise_by_field_arithmetic(image)
+        assert ([_quad_fields(x) for x in p.apex]
+                == [_quad_fields(x) for x in primitive_quad_vector(image)]
+                == [_quad_fields(x) for x in want]), (p.pair, p.word)
+
+
+QUADS = st.builds(lambda a, b, c, e: (Fraction(a, c), Fraction(b, e)),
+                  st.integers(-40, 40), st.integers(-40, 40),
+                  st.integers(1, 9), st.integers(1, 9))
+
+
+@settings(FIXED, max_examples=300)
+@given(st.lists(QUADS, min_size=1, max_size=6), st.sampled_from((2, 3, 5, 12)))
+@example([(0, 0), (-2, 0), (1, 0), (1, 0)], 2)
+@example([(1, 1), (-1, -1), (0, 0)], 5)
+@example([(-3, 1), (3, -1), (1, 0), (-1, 0)], 12)
+def test_primitive_quad_vector_matches_field_arithmetic(coords, d):
+    # d = 12 goes through the constructor as 2*sqrt(3); the examples have
+    # coordinate sum zero, so the first nonzero coordinate decides the sign
+    vec = [QuadExt(a, b, d) for a, b in coords]
+    if not any(vec):
+        with pytest.raises(ValueError):
+            primitive_quad_vector(vec)
+        return
+    got = primitive_quad_vector(vec)
+    assert ([_quad_fields(x) for x in got]
+            == [_quad_fields(x) for x in _normalise_by_field_arithmetic(vec)])
+    assert all(type(x.a) is type(x.b) is Fraction for x in got)
+    if any(x.b for x in vec):
+        with pytest.raises(ValueError, match="mixed radicands"):
+            primitive_quad_vector(vec + [QuadExt(0, 1, 7)])
 
 
 def _walk_by_matrices(sys, vec, max_steps):

@@ -200,6 +200,45 @@ def test_production_path_is_matrix_free(capsys, monkeypatch, argv):
     assert code == 0 and guarded == plain
 
 
+def _refuse_field_arithmetic(monkeypatch):
+    """Patch in raising stubs for ``QuadExt`` arithmetic and for every
+    module binding of ``dot`` and ``primitive_quad_vector``."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("production path reached Q(sqrt(d)) arithmetic")
+
+    for meth in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "__pow__",
+                 "__neg__", "inverse"):
+        monkeypatch.setattr(QuadExt, meth, refuse)
+    originals = (coxmov.linalg.dot, coxmov.linalg.primitive_quad_vector)
+    bound = []
+    for name, module in list(sys.modules.items()):
+        if name == "coxmov" or name.startswith("coxmov."):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in originals):
+                    monkeypatch.setattr(module, attr, refuse)
+                    bound.append(f"{name}.{attr}")
+    assert {"coxmov.dot", "coxmov.linalg.dot", "coxmov.atlas.dot",
+            "coxmov.primitive_quad_vector",
+            "coxmov.linalg.primitive_quad_vector"} <= set(bound), bound
+
+
+@pytest.mark.parametrize("argv", [
+    ("boundary", "--n", "3", "--m", "4", "--depth", "2"),
+    ("boundary", "--n", "5", "--m", "3", "--depth", "2"),
+    ("boundary", "--n", "10", "--m", "5", "--depth", "1"),
+])
+def test_boundary_apexes_take_no_field_arithmetic(capsys, monkeypatch, argv):
+    # JSON only: the SVG renderer projects apexes through project_affine,
+    # which divides in Q(sqrt(d))
+    _refuse_field_arithmetic(monkeypatch)
+    code, guarded, _ = run_cli(capsys, *argv)
+    assert code == 0
+    monkeypatch.undo()
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0 and guarded == plain
+
+
 # -- CLI ---------------------------------------------------------------------
 
 def test_cli_system(capsys):
