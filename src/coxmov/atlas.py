@@ -5,7 +5,7 @@ H_1, ..., H_m.  Its orbit under the group generated by the t_i tiles the
 effective movable cone; chambers are indexed by freely reduced t-words.
 This module enumerates that tiling, classifies divisor classes to a marked
 minimal model by walking back to the fundamental region, and samples the
-boundary: apexes over Q(sqrt(d)), computed as integer pairs, and integer rays.
+boundary; apexes over Q(sqrt(d)) and the sum-one chart run on integer pairs.
 
 Every t-word listing walks the m integer columns of the word matrix:
 t_k is the identity with column k replaced by (n, ..., n, -1, n, ..., n),
@@ -232,14 +232,22 @@ def boundary_patches(sys: CoxeterSystem, depth: int,
 
 
 def project_affine(v):
-    """Scale a vector onto the affine chart of coordinate-sum one."""
-    vals = tuple(Fraction(x) if isinstance(x, int) else x for x in v)
-    total = vals[0]
-    for x in vals[1:]:
-        total = total + x
-    if not total:
+    """Scale a vector onto the affine chart of coordinate-sum one.
+
+    On pairs P_k + Q_k*sqrt(d), one radicand, summing to P + Q*sqrt(d): entry k
+    is ((P_k*P - d*Q_k*Q) + (Q_k*P - P_k*Q)*sqrt(d)) / (P*P - d*Q*Q)."""
+    pairs = [(x.a, x.b) if isinstance(x, QuadExt) else (x, 0) for x in v]
+    p, q = map(sum, zip(*pairs))
+    if not (p or q):
         raise ValueError("zero coordinate sum: direction at infinity")
-    return tuple(x / total for x in vals)
+    if not any(isinstance(x, QuadExt) for x in v):
+        return tuple(Fraction(x, p) for x in v)
+    d, *more = sorted({x.d for x in v if isinstance(x, QuadExt) and x.b}) or [0]
+    if more:
+        raise ValueError(f"mixed radicands {d} and {more[0]}")
+    norm = p * p - d * q * q
+    return tuple(QuadExt._reduced((a * p - d * b * q) / norm,
+                                  (b * p - a * q) / norm, d) for a, b in pairs)
 
 
 def isotropy_value(sys: CoxeterSystem, v):

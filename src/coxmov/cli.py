@@ -5,10 +5,12 @@ Output is JSON (schema-versioned) or SVG 1.1 on stdout (or --out FILE);
 repeated runs with the same inputs produce byte-identical output.
 
 Exit codes: 0 success, 1 a verify check failed, 2 usage, parameter or
---out file error (with an error JSON on stderr), 3 domain failure
-(classification walk hit its step cap).
+output error (with an error JSON on stderr), 3 domain failure
+(classification walk hit its step cap).  Output errors are an --out file
+that cannot be opened, a failed write to --out or stdout, and an svg
+--viewport that overflows the chart.
 An --out file is checked for writability before any computation; a file
-the run created is removed again when nothing was written to it.
+the run created is removed again when the run fails or writes nothing.
 The only environment knob is COXMOV_WORD_BUDGET, the global cap on
 enumerated words (default 10^6) for chambers, boundary, symmetric and the
 freeness check.
@@ -69,11 +71,18 @@ def _claim_out(path: str | None) -> bool:
 
 
 def _write(text: str, out: str | None):
-    if out:
-        with _open_out(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write ``text`` to the --out file or stdout; a failed write, flush or
+    close is a ``CommandError``."""
+    try:
+        if out:
+            with _open_out(out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        raise CommandError(
+            f"cannot write {out or 'stdout'}: {exc.strerror}") from exc
 
 
 def _render_config(args):
@@ -87,6 +96,10 @@ def _render_config(args):
         if len(parts) != 4 or not all(map(math.isfinite, parts)) or min(parts[2:]) <= 0:
             raise CommandError("viewport needs four comma-separated finite "
                                "numbers x,y,width,height, width and height > 0")
+        # the chart's determinant is -width*height/3
+        if not sys.float_info.min <= parts[2] * parts[3] <= sys.float_info.max:
+            raise CommandError("viewport overflows the chart: width*height "
+                               "must be a finite positive normal float")
         cfg.viewport = tuple(parts)
     if args.palette:
         if args.palette not in svgplot.PALETTES:
@@ -266,10 +279,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_merge_class_flag(argv))
-    created = False
+    created = done = False
     try:
         created = _claim_out(args.out)
-        return args.func(args)
+        code = args.func(args)
+        done = True
+        return code
     except CommandError as exc:
         _emit_error(str(exc), exc.code)
         return exc.code
@@ -278,7 +293,7 @@ def main(argv=None) -> int:
         _emit_error(str(exc), EXIT_USAGE)
         return EXIT_USAGE
     finally:
-        if created and os.path.getsize(args.out) == 0:
+        if created and (not done or os.path.getsize(args.out) == 0):
             os.remove(args.out)
 
 

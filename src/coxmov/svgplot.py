@@ -50,7 +50,10 @@ class RenderConfig:
 
 
 def fnum(x: float) -> str:
-    s = format(float(x), ".12g")
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"viewport overflows the chart: coordinate {x}")
+    s = format(x, ".12g")
     return "0" if s in ("-0", "-0.0") else s
 
 
@@ -111,6 +114,8 @@ def conic_ellipse(sys: CoxeterSystem, config: RenderConfig) -> str | None:
     m11, m12 = c1[0] - c3[0], c2[0] - c3[0]
     m21, m22 = c1[1] - c3[1], c2[1] - c3[1]
     det = m11 * m22 - m12 * m21
+    if not det:
+        raise ValueError("viewport overflows the chart: its corners coincide")
     # inverse affine: chart = T * (X, Y, 1) in homogeneous coordinates
     t = [[m22 / det, -m12 / det, (m12 * c3[1] - m22 * c3[0]) / det],
          [-m21 / det, m11 / det, (m21 * c3[0] - m11 * c3[1]) / det],

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from coxmov.atlas import (BoundaryPatch, Chamber, ClassificationError,
                           ClassificationResult, _t_columns, boundary_patches,
                           classify, enumerate_chambers, fundamental_domain,
-                          word_matrix)
+                          project_affine, word_matrix)
 from coxmov.bir import (GroupElementNF, PairClass, eigen_pair, psi_from_t,
                         psi_word_matrix, t_normal_form)
 from coxmov.coxeter import Permutation, build_system, perm_matrix
@@ -174,6 +174,74 @@ def test_primitive_quad_vector_matches_field_arithmetic(coords, d):
     if any(x.b for x in vec):
         with pytest.raises(ValueError, match="mixed radicands"):
             primitive_quad_vector(vec + [QuadExt(0, 1, 7)])
+
+
+def _project_by_field_division(v):
+    # the sum-one chart through field arithmetic: one sum, then one
+    # division in Q(sqrt(d)) per coordinate
+    vals = tuple(Fraction(x) if isinstance(x, int) else x for x in v)
+    total = vals[0]
+    for x in vals[1:]:
+        total = total + x
+    if not total:
+        raise ValueError("zero coordinate sum: direction at infinity")
+    return tuple(x / total for x in vals)
+
+
+def _typed(vec):
+    # each entry's type and value, and each QuadExt field's type and value
+    return [(type(x), *(((type(f), f) for f in _quad_fields(x))
+                        if isinstance(x, QuadExt) else (x,)))
+            for x in vec]
+
+
+RATIONALS = st.one_of(st.integers(-30, 30),
+                      st.builds(Fraction, st.integers(-30, 30),
+                                st.integers(1, 9)))
+
+
+@st.composite
+def chart_vectors(draw):
+    # rational entries, or QuadExt entries over one radicand mixed with
+    # rational ones; d = 12 goes through the constructor as 2*sqrt(3)
+    d = draw(st.sampled_from((0, 2, 3, 5, 12)))
+    entry = RATIONALS if not d else st.one_of(RATIONALS, st.builds(
+        lambda ab: QuadExt(*ab, d), QUADS))
+    return draw(st.lists(entry, min_size=1, max_size=5))
+
+
+@settings(FIXED, max_examples=300)
+@given(chart_vectors())
+@example([1, -1, 0])
+@example([QuadExt(1, 1, 5), QuadExt(-1, -1, 5), 0])
+@example([QuadExt(1, 1, 5), Fraction(1, 2), -3])
+def test_project_affine_matches_field_division(vec):
+    try:
+        want = _project_by_field_division(vec)
+    except ValueError:
+        with pytest.raises(ValueError, match="zero coordinate sum"):
+            project_affine(vec)
+        return
+    assert _typed(project_affine(vec)) == _typed(want)
+
+
+def test_project_affine_on_boundary_apexes():
+    for n, m in product((3, 5, 10), (3, 4, 5)):
+        for p in boundary_patches(build_system(n, m), 2):
+            assert (_typed(project_affine(p.apex))
+                    == _typed(_project_by_field_division(p.apex))), (n, m, p)
+
+
+def test_project_affine_refuses_zero_sums_and_mixed_radicands():
+    root5 = QuadExt(0, 1, 5)
+    for vec in ((0,), (1, -1, 0), (Fraction(1, 2), Fraction(-1, 2)),
+                (1 + root5, -1 - root5, 0)):
+        with pytest.raises(ValueError, match="zero coordinate sum"):
+            project_affine(vec)
+    for vec in ((root5, QuadExt(0, 1, 2), 1),
+                (1, QuadExt(1, 1, 3), QuadExt(2, -1, 7))):
+        with pytest.raises(ValueError, match="mixed radicands"):
+            project_affine(vec)
 
 
 def _walk_by_matrices(sys, vec, max_steps):

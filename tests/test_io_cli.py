@@ -1,5 +1,7 @@
+import errno
 import hashlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -150,24 +152,39 @@ def test_system_document_builds_no_generator_matrix(monkeypatch):
     assert len(converted) == 2 * 42 * 42
 
 
-def _refuse_generic_matrix_path(monkeypatch):
+def _refuse_generic_arithmetic(monkeypatch):
     """Patch in raising stubs for the generic Matrix products, the
-    generator matrices and every module binding of primitive_int_vector."""
+    generator matrices, ``QuadExt`` arithmetic and every module binding of
+    ``primitive_int_vector``, ``dot`` and ``primitive_quad_vector``."""
     def refuse(*args, **kwargs):
-        raise AssertionError("production path reached the generic Matrix path")
+        raise AssertionError("production path reached generic Matrix or "
+                             "Q(sqrt(d)) arithmetic")
 
     monkeypatch.setattr(Matrix, "__mul__", refuse)
     monkeypatch.setattr(Matrix, "__pow__", refuse)
     monkeypatch.setattr(CoxeterSystem, "t", refuse)
-    original = coxmov.linalg.primitive_int_vector
+    for meth in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "__pow__",
+                 "__neg__", "inverse"):
+        monkeypatch.setattr(QuadExt, meth, refuse)
+    originals = (coxmov.linalg.primitive_int_vector, coxmov.linalg.dot,
+                 coxmov.linalg.primitive_quad_vector)
+    # the CLI imports these on demand; patch their bindings too
+    for name in ("coxmov.symmetric", "coxmov.svgplot"):
+        importlib.import_module(name)
     bound = []
-    for name in ("coxmov", "coxmov.linalg", "coxmov.symmetric"):
-        module = importlib.import_module(name)
-        for attr, value in list(vars(module).items()):
-            if value is original:
-                monkeypatch.setattr(module, attr, refuse)
-                bound.append(f"{name}.{attr}")
-    assert len(bound) == 3, bound
+    for name, module in list(sys.modules.items()):
+        if name == "coxmov" or name.startswith("coxmov."):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in originals):
+                    monkeypatch.setattr(module, attr, refuse)
+                    bound.append(f"{name}.{attr}")
+    assert {"coxmov.primitive_int_vector",
+            "coxmov.linalg.primitive_int_vector",
+            "coxmov.symmetric.primitive_int_vector",
+            "coxmov.dot", "coxmov.linalg.dot", "coxmov.atlas.dot",
+            "coxmov.primitive_quad_vector",
+            "coxmov.linalg.primitive_quad_vector"} <= set(bound), bound
 
 
 MATRIX_FREE_RUNS = [
@@ -180,6 +197,10 @@ MATRIX_FREE_RUNS = [
     ("boundary", "--n", "2", "--m", "3", "--depth", "2", "--format", "svg"),
     ("boundary", "--n", "3", "--m", "4", "--depth", "2"),
     ("boundary", "--n", "3", "--m", "3", "--depth", "2", "--format", "svg"),
+    ("boundary", "--n", "5", "--m", "3", "--depth", "2"),
+    ("boundary", "--n", "10", "--m", "5", "--depth", "1"),
+    ("boundary", "--n", "5", "--m", "3", "--depth", "2", "--format", "svg",
+     "--labels"),
 ]
 # the symmetric walk still multiplies 3x3 Matrix products and rescales each
 # ray (ROADMAP items 1, 2 and 13): remove the marker when it runs on ints
@@ -192,46 +213,7 @@ SYMMETRIC_WALK = pytest.mark.xfail(
     pytest.param(("symmetric", "--layer", layer, "--depth", "2"),
                  marks=SYMMETRIC_WALK) for layer in ("movable", "psef")])
 def test_production_path_is_matrix_free(capsys, monkeypatch, argv):
-    _refuse_generic_matrix_path(monkeypatch)
-    code, guarded, _ = run_cli(capsys, *argv)
-    assert code == 0
-    monkeypatch.undo()
-    code, plain, _ = run_cli(capsys, *argv)
-    assert code == 0 and guarded == plain
-
-
-def _refuse_field_arithmetic(monkeypatch):
-    """Patch in raising stubs for ``QuadExt`` arithmetic and for every
-    module binding of ``dot`` and ``primitive_quad_vector``."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("production path reached Q(sqrt(d)) arithmetic")
-
-    for meth in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
-                 "__rmul__", "__truediv__", "__rtruediv__", "__pow__",
-                 "__neg__", "inverse"):
-        monkeypatch.setattr(QuadExt, meth, refuse)
-    originals = (coxmov.linalg.dot, coxmov.linalg.primitive_quad_vector)
-    bound = []
-    for name, module in list(sys.modules.items()):
-        if name == "coxmov" or name.startswith("coxmov."):
-            for attr, value in list(vars(module).items()):
-                if any(value is f for f in originals):
-                    monkeypatch.setattr(module, attr, refuse)
-                    bound.append(f"{name}.{attr}")
-    assert {"coxmov.dot", "coxmov.linalg.dot", "coxmov.atlas.dot",
-            "coxmov.primitive_quad_vector",
-            "coxmov.linalg.primitive_quad_vector"} <= set(bound), bound
-
-
-@pytest.mark.parametrize("argv", [
-    ("boundary", "--n", "3", "--m", "4", "--depth", "2"),
-    ("boundary", "--n", "5", "--m", "3", "--depth", "2"),
-    ("boundary", "--n", "10", "--m", "5", "--depth", "1"),
-])
-def test_boundary_apexes_take_no_field_arithmetic(capsys, monkeypatch, argv):
-    # JSON only: the SVG renderer projects apexes through project_affine,
-    # which divides in Q(sqrt(d))
-    _refuse_field_arithmetic(monkeypatch)
+    _refuse_generic_arithmetic(monkeypatch)
     code, guarded, _ = run_cli(capsys, *argv)
     assert code == 0
     monkeypatch.undo()
@@ -462,6 +444,48 @@ def test_cli_failed_run_leaves_no_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["command"] == "system"
 
 
+class _DiskFull:
+    """A text handle that passes the first 8 characters on to ``fh``, then
+    fails as a full disk does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        self.fh.write(text[:8])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        self.fh.flush()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_cli_write_failure_is_an_out_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _DiskFull(io.StringIO()))
+    code = main(["system", "--n", "2", "--m", "3"])
+    assert code == 2
+    assert error_payload(capsys.readouterr().err)["message"] == \
+        "cannot write stdout: No space left on device"
+    monkeypatch.undo()
+    # the created file is removed although 8 characters reached it
+    target = tmp_path / "x.json"
+    open_out = cli._open_out
+    monkeypatch.setattr(cli, "_open_out", lambda path, mode: (
+        _DiskFull(open_out(path, mode)) if mode == "w" else open_out(path, mode)))
+    code, out, err = run_cli(capsys, "system", "--n", "2", "--m", "3",
+                             "--out", str(target))
+    assert (code, out) == (2, "")
+    assert error_payload(err)["message"] == \
+        f"cannot write {target}: No space left on device"
+    assert not target.exists()
+
+
 def test_cli_import_loads_no_subcommand_modules():
     # building the parser needs neither the suites nor the renderers
     src = Path(jsonio.__file__).resolve().parents[1]
@@ -534,6 +558,24 @@ def test_cli_viewport_and_palette(capsys):
         assert code == 2, bad
         assert out == ""
         assert "viewport" in error_payload(err)["message"]
+
+
+@pytest.mark.parametrize("viewport", [
+    "0,0,1e-200,1e-200",        # width*height underflows: the chart is singular
+    "1e308,1e308,1e308,1e308",  # width*height and the corners overflow
+    "1e308,1e308,1,1",          # the corners coincide at this offset
+    "1.5e308,0,1e300,1",        # far rays leave the floats
+])
+def test_cli_viewport_overflowing_the_chart(tmp_path, capsys, viewport):
+    target = tmp_path / "x.svg"
+    for out in ((), ("--out", str(target))):
+        code, stdout, err = run_cli(capsys, "chambers", "--n", "2", "--m", "3",
+                                    "--depth", "3", "--format", "svg",
+                                    "--viewport", viewport, *out)
+        assert (code, stdout) == (2, "")
+        assert error_payload(err)["message"].startswith(
+            "viewport overflows the chart")
+        assert not target.exists()
 
 
 def test_budget_env_var(capsys, monkeypatch):
