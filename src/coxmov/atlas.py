@@ -27,8 +27,8 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .bir import (GroupElementNF, PsiWord, _require_infinite_order,
-                  eigen_pair, psi_from_t, reduced_walk, t_normal_form)
+from .bir import (GroupElementNF, PsiWord, _peel, _require_infinite_order,
+                  eigen_pair, reduced_walk, t_normal_form)
 from .coxeter import CoxeterSystem, Permutation
 from .exact import QuadExt
 from .linalg import Matrix, _primitive_pair, dot
@@ -129,12 +129,15 @@ class ClassificationResult:
 def classify(sys: CoxeterSystem, coords, max_steps: int = DEFAULT_MAX_STEPS) -> ClassificationResult:
     """Reduce a divisor class to the nef cone and read off its chamber.
 
-    While some coordinate is negative, apply the generator of the most
-    negative coordinate (smallest index on ties) and record the letter.
-    The walk runs on D*v as Python ints, D the common denominator of the
-    input, scaled on integers (entry p/q becomes p * (D // q); ``int``
-    entries skip ``Fraction``): t_i negates v_i and adds n*v_i to every
-    other coordinate.
+    One integer pass.  While some coordinate is negative, apply the
+    generator of the most negative coordinate (smallest index on ties) and
+    record the letter.  The walk runs on D*v as Python ints, D the common
+    denominator of the input, scaled on integers (entry p/q becomes
+    p * (D // q); all-``int`` input skips the rescale): t_i negates v_i
+    and adds n*v_i to every other coordinate.  The recorded word is
+    reduced, so one ``_peel`` gives the psi-word and the residual marking
+    t_model * P(perm); a single normal-form product checks that
+    psi-word * residual is the word again, else ``ArithmeticError``.
     Interior points of the tiled cone reach all-nonnegative coordinates in
     exactly the word length of their chamber; points outside oscillate and
     hit the step cap, which raises ``ClassificationError``.  A negative
@@ -143,22 +146,28 @@ def classify(sys: CoxeterSystem, coords, max_steps: int = DEFAULT_MAX_STEPS) -> 
     _require_infinite_order(sys)
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
-    vec = tuple(x if type(x) is int else Fraction(x) for x in coords)
+    vec, denom = list(coords), 1
+    if set(map(type, vec)) != {int}:
+        vec = [Fraction(x) for x in vec]
+        denom = lcm(*(x.denominator for x in vec))
+        vec = [x.numerator * (denom // x.denominator) for x in vec]
     if len(vec) != sys.m:
         raise ValueError(f"expected {sys.m} coordinates")
-    if all(x == 0 for x in vec):
+    if not any(vec):
         raise ValueError("zero vector has no chamber")
-    denom = lcm(*(x.denominator for x in vec))
-    vec = [x.numerator * (denom // x.denominator) for x in vec]
-    letters: list[int] = []
+    # the iterate is vec + shift: a step adds n*v_i to the shift and sets
+    # entry i alone
+    n, letters, shift = sys.n, [], 0
     for _ in range(max_steps):
-        worst = min(vec)
+        low = min(vec)
+        worst = low + shift
         if worst >= 0:
             break
-        i = vec.index(worst)
+        i = vec.index(low)
         letters.append(i + 1)
-        vec = [x + sys.n * worst for x in vec]
-        vec[i] = -worst
+        shift += n * worst
+        vec[i] = -worst - shift
+    vec = [x + shift for x in vec]
     iterate = (tuple(map(Fraction, vec)) if denom == 1
                else tuple(Fraction(x, denom) for x in vec))
     if min(vec) < 0:
@@ -167,13 +176,15 @@ def classify(sys: CoxeterSystem, coords, max_steps: int = DEFAULT_MAX_STEPS) -> 
             "(class outside the tiled cone, or cap too small)",
             iterate, max_steps)
     word = tuple(letters)
-    psi = psi_from_t(sys, word)
-    residual = t_normal_form(sys, psi).inverse() * GroupElementNF(word, Permutation.identity(sys.m))
-    if residual.t_length > 1:
+    psi_letters, head, sig = _peel(word, sys.m)
+    psi = PsiWord(psi_letters)
+    residual = GroupElementNF((head,) if head else (),
+                              Permutation._of(tuple(sig[1:])))
+    check = t_normal_form(sys, psi) * residual
+    if check.letters != word or not check.perm.is_identity:
         raise ArithmeticError("residual of the psi-word translation is not "
                               "a single marking")
-    model = residual.letters[0] if residual.letters else 0
-    return ClassificationResult(word, psi, model, residual.perm, iterate)
+    return ClassificationResult(word, psi, head or 0, residual.perm, iterate)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,10 @@ t_i * t_j * t_i * P(i j).  For n >= 2 every group element factors uniquely
 as a freely reduced word in the involutions t_k times a coordinate
 permutation, which is the normal form used for all word problems here.
 ``t_normal_form`` builds it in one pass over the psi-letters, on a stack of
-t-letters and the image list of the running permutation; ``psi_from_t``
-peels a t-word in one pass, renaming letters through a permutation.
+t-letters and the image list of the running permutation; ``_peel``
+peels a t-word in one pass, renaming letters through a permutation, and
+returns the residual marking with the psi-letters: ``psi_from_t`` keeps
+the letters, ``atlas.classify`` both.
 Word-level operations reject n = 1, where the braid relation
 (t_i t_j)^3 = 1 breaks free reduction; the matrices themselves are fine
 for any n.
@@ -162,7 +164,8 @@ class GroupElementNF:
 
     def __mul__(self, other: "GroupElementNF") -> "GroupElementNF":
         # push the left permutation through the right t-word
-        mapped = tuple(self.perm.images[k - 1] for k in other.letters)
+        images = self.perm.images
+        mapped = tuple([images[k - 1] for k in other.letters])
         return GroupElementNF(free_reduce(self.letters + mapped),
                               self.perm * other.perm)
 
@@ -263,10 +266,11 @@ def t_normal_form(sys: CoxeterSystem, word: PsiWord) -> GroupElementNF:
     with (a, b) = (i, j) or (j, i) pushes sigma(a), sigma(b), sigma(a), each
     cancelling an equal top of the stack, then swaps images i and j."""
     _require_infinite_order(sys)
-    stack, images = [], list(range(1, sys.m + 1))
+    m = sys.m
+    stack, images = [], list(range(1, m + 1))
     for (i, j, e) in word.letters:
-        if not (1 <= i <= sys.m and 1 <= j <= sys.m):
-            raise IndexError(f"generator index out of range 1..{sys.m}")
+        if not (1 <= i <= m and 1 <= j <= m):
+            raise IndexError(f"generator index out of range 1..{m}")
         a, b = (i - 1, j - 1) if e > 0 else (j - 1, i - 1)
         for _ in range(abs(e)):
             for k in (images[a], images[b], images[a]):
@@ -275,7 +279,7 @@ def t_normal_form(sys: CoxeterSystem, word: PsiWord) -> GroupElementNF:
                 else:
                     stack.append(k)
             images[a], images[b] = images[b], images[a]
-    return GroupElementNF(tuple(stack), Permutation(tuple(images)))
+    return GroupElementNF(tuple(stack), Permutation._of(tuple(images)))
 
 
 def psi_word_matrix(sys: CoxeterSystem, word: PsiWord) -> Matrix:
@@ -286,24 +290,21 @@ def psi_word_matrix(sys: CoxeterSystem, word: PsiWord) -> Matrix:
     return out
 
 
-def psi_from_t(sys: CoxeterSystem, letters) -> PsiWord:
-    """Produce a psi-word whose chamber contains the chamber of a t-word.
+def _peel(w: tuple[int, ...], m: int):
+    """Peel a freely reduced t-word two letters at a time; the one loop
+    behind ``psi_from_t`` and ``atlas.classify``.
 
-    Peeling two letters at a time: for w = t_a t_b (rest), emit psi_{a,b}
-    and go on with the reduced word t_b swap(rest), swap = (a b).  The
-    guarantee, tested via normal forms, is that the residual
-    (psi-word)^{-1} * w has t-length <= 1, i.e. w.D lies inside the image
-    of the fundamental region under the psi-word.
+    For w = t_a t_b (rest), emit psi_{a,b} and go on with the reduced
+    word t_b swap(rest), swap = (a b).  The stored word is never
+    rewritten: ``sig`` maps each stored letter to its current name and
+    ``inv`` back, so a peel swaps two entries of each, and only the first
+    letter of swap(rest) can cancel against t_b.
 
-    The stored word is never rewritten: ``sig`` maps each stored letter to
-    its current name and ``inv`` back, so a peel swaps two entries of
-    each, and only the first letter of swap(rest) can cancel against t_b.
+    Returns ``(psi_letters, head, sig)``: the residual
+    (psi-word)^{-1} * w is t_head * P(sig[1:]), with no t-letter when
+    ``head`` is None.
     """
-    _require_infinite_order(sys)
-    w = free_reduce(letters)
-    if w and not (1 <= min(w) and max(w) <= sys.m):
-        raise IndexError(f"t-letter out of range 1..{sys.m}")
-    sig, inv = list(range(sys.m + 1)), list(range(sys.m + 1))
+    sig, inv = list(range(m + 1)), list(range(m + 1))
     out: list[tuple[int, int, int]] = []
     head, pos = (w[0] if w else None), 1
     while pos < len(w):
@@ -315,7 +316,22 @@ def psi_from_t(sys: CoxeterSystem, letters) -> PsiWord:
         if pos < len(w) and sig[w[pos]] == head:
             head = sig[w[pos + 1]] if pos + 1 < len(w) else None
             pos += 2
-    return PsiWord(out)
+    return out, head, sig
+
+
+def psi_from_t(sys: CoxeterSystem, letters) -> PsiWord:
+    """Produce a psi-word whose chamber contains the chamber of a t-word.
+
+    The word is freely reduced and peeled by ``_peel``.  The guarantee,
+    tested via normal forms, is that the residual (psi-word)^{-1} * w has
+    t-length <= 1, i.e. w.D lies inside the image of the fundamental
+    region under the psi-word.
+    """
+    _require_infinite_order(sys)
+    w = free_reduce(letters)
+    if w and not (1 <= min(w) and max(w) <= sys.m):
+        raise IndexError(f"t-letter out of range 1..{sys.m}")
+    return PsiWord(_peel(w, sys.m)[0])
 
 
 def prefix_check(sys: CoxeterSystem, word: PsiWord) -> bool:

@@ -10,7 +10,8 @@ output error (with an error JSON on stderr), 3 domain failure
 that cannot be opened, a failed write to --out or stdout, and an svg
 --viewport that overflows the chart.
 An --out file is checked for writability before any computation; a file
-the run created is removed again when the run fails or writes nothing.
+the run created is removed again when the run fails or writes nothing,
+and an existing one keeps its bytes unless the output is written whole.
 The only environment knob is COXMOV_WORD_BUDGET, the global cap on
 enumerated words (default 10^6) for chambers, boundary, symmetric and the
 freeness check.
@@ -22,6 +23,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 from fractions import Fraction
 
@@ -52,10 +54,7 @@ def _emit_error(message: str, code: int, **extra):
 
 
 def _open_out(path: str, mode: str):
-    try:
-        return open(path, mode, encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise CommandError(f"cannot write {path}: {exc.strerror}") from exc
+    return open(path, mode, encoding="utf-8", newline="\n")
 
 
 def _claim_out(path: str | None) -> bool:
@@ -66,20 +65,48 @@ def _claim_out(path: str | None) -> bool:
     if not path:
         return False
     created = not os.path.lexists(path)
-    _open_out(path, "a").close()
+    try:
+        _open_out(path, "a").close()
+    except OSError as exc:
+        raise CommandError(f"cannot write {path}: {exc.strerror}") from exc
     return created
 
 
 def _write(text: str, out: str | None):
     """Write ``text`` to the --out file or stdout; a failed write, flush or
-    close is a ``CommandError``."""
+    close is a ``CommandError``.
+
+    A regular --out file keeps its bytes until ``text`` is whole: the text
+    goes to a new sibling file with the target's mode bits, which then
+    replaces the target, and is removed again when the write fails.  A
+    device or pipe, or a file whose directory refuses the sibling, is
+    written in place.
+    """
     try:
-        if out:
-            with _open_out(out, "w") as fh:
-                fh.write(text)
-        else:
+        if not out:
             sys.stdout.write(text)
             sys.stdout.flush()
+            return
+        path = os.path.realpath(out)
+        mode = os.stat(path).st_mode
+        head, tail = os.path.split(path)
+        tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+        try:
+            fh = _open_out(tmp, "x") if stat.S_ISREG(mode) else None
+        except PermissionError:
+            fh = None
+        if fh is None:
+            with _open_out(out, "w") as fh:
+                fh.write(text)
+            return
+        try:
+            with fh:
+                os.chmod(tmp, stat.S_IMODE(mode))
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.remove(tmp)
+            raise
     except OSError as exc:
         raise CommandError(
             f"cannot write {out or 'stdout'}: {exc.strerror}") from exc

@@ -35,9 +35,17 @@ class Permutation:
         if sorted(self.images) != list(range(1, m + 1)):
             raise ValueError(f"not a permutation of 1..{m}: {self.images}")
 
+    @classmethod
+    def _of(cls, images: tuple[int, ...]) -> "Permutation":
+        """A permutation from images that are one by construction,
+        built without the check."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "images", images)
+        return perm
+
     @staticmethod
     def identity(m: int) -> "Permutation":
-        return Permutation(tuple(range(1, m + 1)))
+        return Permutation._of(tuple(range(1, m + 1)))
 
     @staticmethod
     def transposition(m: int, i: int, j: int) -> "Permutation":
@@ -65,15 +73,16 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition: (self * other)(i) = self(other(i))."""
-        if self.degree != other.degree:
+        images = self.images
+        if len(images) != len(other.images):
             raise ValueError("degree mismatch")
-        return Permutation(tuple(self.images[k - 1] for k in other.images))
+        return Permutation._of(tuple([images[k - 1] for k in other.images]))
 
     def inverse(self) -> "Permutation":
         imgs = [0] * self.degree
         for i, img in enumerate(self.images, start=1):
             imgs[img - 1] = i
-        return Permutation(tuple(imgs))
+        return Permutation._of(tuple(imgs))
 
     @property
     def is_identity(self) -> bool:

@@ -11,6 +11,7 @@ exists only for coordinate emission at the rendering layer.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -19,7 +20,10 @@ Rational = Union[int, Fraction]
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n >= 0 as s*s*d with d squarefree; return (s, d).
 
-    Trial division; the radicands handled here stay desk-sized.
+    Trial division while p^3 <= m, the part still unfactored.  The
+    cofactor then has no prime factor below its cube root, so it is 1, a
+    prime, a product of two distinct primes or a prime square, and one
+    ``isqrt`` tells the square apart.
     """
     if n < 0:
         raise ValueError("negative radicand")
@@ -27,7 +31,7 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
         return 1, 0
     s, d, m = 1, 1, n
     p = 2
-    while p * p <= m:
+    while p * p * p <= m:
         if m % p == 0:
             e = 0
             while m % p == 0:
@@ -37,6 +41,9 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             if e % 2:
                 d *= p
         p += 1 if p == 2 else 2
+    r = isqrt(m)
+    if r * r == m:
+        return s * r, d
     return s, d * m
 
 

@@ -3,12 +3,16 @@
 Rationals are emitted as reduced integer-or-"p/q" strings (never floats),
 quadratic scalars as {"a", "b", "d"} objects, words as integer arrays.
 The schema is versioned and documented in ``schema/coxmov.schema.json``.
+``dumps`` writes the ``json.dumps(indent=2, ensure_ascii=True)`` layout
+from module-level functions appending to one list, so a call leaves no
+cyclic garbage for the collector; a value of any other type than str,
+int, bool, None, str-keyed dict, list or tuple raises ``TypeError``.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 from .atlas import (BoundaryPatch, Chamber, ClassificationResult,
@@ -176,5 +180,63 @@ def symmetric_document(depth: int, layer: str, items) -> dict:
     return document("symmetric", {"depth": depth, "layer": layer}, body)
 
 
+# -- writer ------------------------------------------------------------------
+
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _write_json(obj, out: list, level: int):
+    """Append the pieces of ``obj`` at nesting ``level`` to ``out``."""
+    kind = type(obj)
+    if kind is str:
+        out.append(encode_basestring_ascii(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif obj is None or kind is bool:
+        out.append(_CONSTANTS[obj])
+    elif kind is dict or kind is list or kind is tuple:
+        if not obj:
+            out.append("{}" if kind is dict else "[]")
+            return
+        pad = "\n" + "  " * (level + 1)
+        close = "\n" + "  " * level + ("}" if kind is dict else "]")
+        if kind is dict:
+            sep = "{" + pad
+            for key, value in obj.items():
+                if type(key) is not str:
+                    raise TypeError(
+                        f"keys must be str, not {type(key).__name__}")
+                out.append(sep + encode_basestring_ascii(key) + ": ")
+                _write_json(value, out, level + 1)
+                sep = "," + pad
+            out.append(close)
+            return
+        kinds = set(map(type, obj))
+        if kinds == {str} or kinds == {int}:
+            scalar = encode_basestring_ascii if str in kinds else int.__repr__
+            out.append("[" + pad + ("," + pad).join(map(scalar, obj)) + close)
+            return
+        sep = "[" + pad
+        for item in obj:
+            out.append(sep)
+            _write_json(item, out, level + 1)
+            sep = "," + pad
+        out.append(close)
+    else:
+        raise TypeError(
+            f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
+    """The text of ``json.dumps(doc, indent=2, ensure_ascii=True)`` plus a
+    newline, from a recursive writer that leaves no cyclic garbage.
+
+    Accepted: ``str``, plain ``int``, ``bool``, ``None``, dicts with
+    ``str`` keys, lists and tuples (written as arrays); anything else,
+    floats included, raises ``TypeError``.  A list of only strings or only
+    ints is joined in one piece.
+    """
+    out: list[str] = []
+    _write_json(doc, out, 0)
+    out.append("\n")
+    return "".join(out)

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxmov import atlas
 from coxmov.atlas import classify, reduced_words, word_matrix
 from coxmov.bir import (BudgetError, GroupElementNF, PairClass, PsiWord,
-                        _letter_nf, aut_codimension, eigen_pair, flop_pullback,
-                        free_reduce, prefix_check, psi_from_t, psi_matrix,
-                        psi_word_matrix, reduced_walk, swap_identity_holds,
-                        t_normal_form, verify_free)
+                        _letter_nf, _peel, aut_codimension, eigen_pair,
+                        flop_pullback, free_reduce, prefix_check, psi_from_t,
+                        psi_matrix, psi_word_matrix, reduced_walk,
+                        swap_identity_holds, t_normal_form, verify_free)
 from coxmov.coxeter import Permutation, build_system
 from coxmov.exact import QuadExt, quad_roots, squarefree_decompose
 from coxmov.linalg import Matrix, nullspace_vector, primitive_quad_vector
@@ -279,6 +280,53 @@ def test_linear_peel_matches_rewriting_peel():
     # unreduced input is reduced first, as before
     assert psi_from_t(S33, (1, 1, 2, 3, 3, 1)) == \
         _psi_from_t_by_rewriting((2, 1))
+
+
+@st.composite
+def systems_and_reduced_words(draw):
+    """A system with n in {2, 3, 5}, m 3-6 and a reduced t-word of length
+    <= 12."""
+    n, m = draw(st.sampled_from((2, 3, 5))), draw(st.integers(3, 6))
+    word = []
+    for _ in range(draw(st.integers(0, 12))):
+        word.append(draw(st.sampled_from(
+            [k for k in range(1, m + 1) if not word or k != word[-1]])))
+    return build_system(n, m), tuple(word)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(systems_and_reduced_words())
+def test_peel_residual_is_the_normal_form_quotient(case):
+    # the residual _peel returns is (psi-word)^{-1} * w, computed the long
+    # way through normal forms; sig goes through the checked constructor
+    s, word = case
+    letters, head, sig = _peel(word, s.m)
+    psi = PsiWord(letters)
+    assert psi == psi_from_t(s, word)
+    residual = GroupElementNF((head,) if head else (),
+                              Permutation(tuple(sig[1:])))
+    assert residual == (t_normal_form(s, psi).inverse()
+                        * GroupElementNF(word, Permutation.identity(s.m)))
+
+
+@pytest.mark.parametrize("word", [(), (1,), (1, 2, 3), (2, 1, 4, 3, 1)])
+def test_classify_check_catches_a_wrong_residual(monkeypatch, word):
+    # a residual marking with two images swapped must fail the one
+    # normal-form product that classify checks
+    peel = atlas._peel
+
+    def swapped(w, m):
+        letters, head, sig = peel(w, m)
+        sig = list(sig)
+        sig[1], sig[2] = sig[2], sig[1]
+        return letters, head, sig
+
+    s = build_system(3, 4)
+    coords = _class_of_word(s, word, (1, 2, 1, 3))
+    assert classify(s, coords).t_word == word
+    monkeypatch.setattr(atlas, "_peel", swapped)
+    with pytest.raises(ArithmeticError, match="not a single marking"):
+        classify(s, coords)
 
 
 def _class_of_word(s, word, nef_coords):

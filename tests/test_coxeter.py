@@ -107,6 +107,21 @@ def test_permutation_basics():
     assert Permutation.transposition(4, 1, 3).sign() == -1
 
 
+def test_permutation_check_and_unchecked_constructions():
+    # the public constructor still checks; identity, products and inverses
+    # skip the check and give the same values a checked construction does
+    for bad in ((1, 1, 3), (0, 1, 2), (1, 2, 4), (2,)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            Permutation(bad)
+    perms = [Permutation(p) for p in permutations(range(1, 5))]
+    checked = [Permutation.identity(4)] + [a * b for a in perms[::5]
+                                           for b in perms[::7]]
+    checked += [a.inverse() for a in perms]
+    for p in checked:
+        assert p == Permutation(p.images)
+        assert hash(p) == hash(Permutation(p.images))
+
+
 def _quadric_by_inverse(s):
     """The quadric by elimination: the Gauss-Jordan inverse of the Gram
     matrix, made primitive, with the diagonal >= 0 when it is nonzero and

@@ -19,6 +19,49 @@ def test_squarefree_decompose():
         squarefree_decompose(-4)
 
 
+def _squarefree_by_sqrt_division(n):
+    # trial division while p*p <= the unfactored part
+    s, d, m, p = 1, 1, n, 2
+    while p * p <= m:
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        s *= p ** (e // 2)
+        d *= p ** (e % 2)
+        p += 1 if p == 2 else 2
+    return s, d * m
+
+
+def _next_prime(n):
+    while any(n % p == 0 for p in range(2, int(n ** 0.5) + 1)):
+        n += 1
+    return n
+
+
+def test_squarefree_decompose_matches_sqrt_division_below_200000():
+    assert all(squarefree_decompose(n) == _squarefree_by_sqrt_division(n)
+               for n in range(1, 200000))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(1, 10 ** 10 - 1))
+def test_squarefree_decompose_matches_sqrt_division(n):
+    assert squarefree_decompose(n) == _squarefree_by_sqrt_division(n)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=4)
+@given(st.integers(10 ** 6 - 2000, 10 ** 6 + 2000),
+       st.integers(10 ** 6 - 2000, 10 ** 6 + 2000))
+def test_squarefree_decompose_prime_square_times_prime(a, b):
+    # the cofactor left at the cube-root bound is q, p*p or p*q
+    p, q = _next_prime(a), _next_prime(b)
+    for n in (p * p * q, p * q):
+        assert squarefree_decompose(n) == _squarefree_by_sqrt_division(n)
+    assert squarefree_decompose(p * p) == (p, 1)
+    assert squarefree_decompose(12 * p * p) == (2 * p, 3)
+
+
 def test_quadext_normalization():
     # square radicands fold into the rational part
     assert QuadExt(1, 2, 9) == QuadExt(7)

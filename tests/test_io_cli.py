@@ -1,4 +1,5 @@
 import errno
+import gc
 import hashlib
 import importlib
 import io
@@ -114,6 +115,61 @@ def test_listing_roundtrips(n, m, depth, data):
     res = classify(sys, point)
     assert _through_json(jsonio.classification_to_obj,
                          jsonio.obj_to_classification, res) == res
+
+
+_JSON_TEXT = (st.text()
+              | st.text(st.characters(max_codepoint=0x1f))
+              | st.text(st.characters(min_codepoint=0x80)))
+_JSON_INT = st.integers(-2 ** 9, 2 ** 9) | st.integers(-2 ** 200, 2 ** 200)
+_JSON_DOC = st.recursive(
+    st.none() | st.booleans() | _JSON_INT | _JSON_TEXT
+    | st.lists(_JSON_TEXT) | st.lists(_JSON_INT),
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(_JSON_TEXT, inner, max_size=5)),
+    max_leaves=12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.dictionaries(_JSON_TEXT, _JSON_DOC, max_size=6) | _JSON_DOC)
+def test_dumps_matches_json_dumps_indent_2(doc):
+    assert jsonio.dumps(doc) == json.dumps(doc, indent=2,
+                                           ensure_ascii=True) + "\n"
+
+
+def test_dumps_layout_examples():
+    doc = {"a": [], "b": {}, "c": ["x", "\u00e9\n"], "d": [1, -2, 3 ** 80],
+           "e": [None, True, False, 0, "s", [], {"k": [1]}], "f": (1, "x")}
+    assert jsonio.dumps(doc) == json.dumps(doc, indent=2) + "\n"
+    assert jsonio.dumps({}) == "{}\n"
+
+
+@pytest.mark.parametrize("value", [1.5, float("nan"), {1, 2}, object(),
+                                   Fraction(1, 2), frozenset(), b"x"])
+def test_dumps_rejects_other_types(value):
+    for doc in ({"x": value}, {"x": [value]}, {"x": [1, value]},
+                {"x": ["s", value]}):
+        with pytest.raises(TypeError):
+            jsonio.dumps(doc)
+    with pytest.raises(TypeError, match="keys must be str"):
+        jsonio.dumps({1: "a"})
+
+
+def test_dumps_leaves_no_cyclic_garbage():
+    s = build_system(3, 4)
+    chambers = enumerate_chambers(s, 2)
+    point = chambers[-1].interior_point()
+    docs = [jsonio.system_document(s),
+            jsonio.chambers_document(s, 2, chambers),
+            jsonio.classify_document(s, point, classify(s, point))]
+    gc.disable()
+    try:
+        gc.collect()
+        for doc in docs:
+            jsonio.dumps(doc)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_system_generators_match_matrix_oracle():
@@ -475,15 +531,79 @@ def test_cli_write_failure_is_an_out_error(tmp_path, capsys, monkeypatch):
     monkeypatch.undo()
     # the created file is removed although 8 characters reached it
     target = tmp_path / "x.json"
-    open_out = cli._open_out
-    monkeypatch.setattr(cli, "_open_out", lambda path, mode: (
-        _DiskFull(open_out(path, mode)) if mode == "w" else open_out(path, mode)))
+    _fail_out_writes(monkeypatch)
     code, out, err = run_cli(capsys, "system", "--n", "2", "--m", "3",
                              "--out", str(target))
     assert (code, out) == (2, "")
     assert error_payload(err)["message"] == \
         f"cannot write {target}: No space left on device"
-    assert not target.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def _fail_out_writes(monkeypatch):
+    # every handle that writes output (not the append-mode claim) fails
+    # after 8 characters
+    open_out = cli._open_out
+    monkeypatch.setattr(cli, "_open_out", lambda path, mode: (
+        open_out(path, mode) if mode == "a"
+        else _DiskFull(open_out(path, mode))))
+
+
+def test_cli_failed_write_keeps_existing_out(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "x.json"
+    target.write_text("kept\n")
+    target.chmod(0o640)
+    _fail_out_writes(monkeypatch)
+    code, out, err = run_cli(capsys, "system", "--n", "2", "--m", "3",
+                             "--out", str(target))
+    assert (code, out) == (2, "")
+    assert error_payload(err)["message"] == \
+        f"cannot write {target}: No space left on device"
+    assert target.read_bytes() == b"kept\n"
+    assert list(tmp_path.iterdir()) == [target]
+    # a write that succeeds replaces the file and keeps its mode bits
+    monkeypatch.undo()
+    assert run_cli(capsys, "system", "--n", "2", "--m", "3",
+                   "--out", str(target))[0] == 0
+    assert json.loads(target.read_text())["command"] == "system"
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_cli_out_through_symlink_and_device(tmp_path, capsys):
+    # a symlink stays a link to the rewritten file; a device is written
+    # in place, with no sibling file next to it
+    real, link = tmp_path / "real.json", tmp_path / "link.json"
+    real.write_text("old\n")
+    link.symlink_to(real.name)
+    assert run_cli(capsys, "system", "--n", "2", "--m", "3",
+                   "--out", str(link))[0] == 0
+    assert link.is_symlink()
+    assert json.loads(real.read_text())["command"] == "system"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json",
+                                                          "real.json"]
+    assert run_cli(capsys, "system", "--n", "2", "--m", "3",
+                   "--out", os.devnull)[:2] == (0, "")
+
+
+def test_cli_out_in_a_directory_that_refuses_the_sibling(tmp_path, capsys,
+                                                         monkeypatch):
+    # a writable file in a directory where no new file can be made is
+    # written in place, as before the sibling file
+    target = tmp_path / "x.json"
+    target.write_text("old\n")
+    open_out = cli._open_out
+
+    def refuse_new(path, mode):
+        if mode == "x":
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        return open_out(path, mode)
+
+    monkeypatch.setattr(cli, "_open_out", refuse_new)
+    assert run_cli(capsys, "system", "--n", "2", "--m", "3",
+                   "--out", str(target))[0] == 0
+    assert json.loads(target.read_text())["command"] == "system"
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def test_cli_import_loads_no_subcommand_modules():
