@@ -191,6 +191,8 @@ class Matrix:
                 raise ValueError("dimension mismatch")
             left = self._scaled_rows()
             right = left and _scaled((other,))
+            if not right and any(isinstance(x, float) for x in other):
+                raise TypeError("exact matrices do not accept floats")
             return tuple(row[0] for row in
                          _product(self.rows, (other,), left, right))
         if isinstance(other, (int, Fraction, QuadExt)):

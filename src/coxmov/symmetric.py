@@ -9,14 +9,16 @@ of the general hexagon cut along the symmetry axis, and the
 pseudoeffective cone acquires boundary segments tangent to the quadric.
 
 Everything here is hard-coded to (n, m) = (2, 3); no other parameters
-produce this picture concretely.
+produce this picture concretely.  Its fixed data is built once per process,
+on first use: the base system and one table of a, b and b^-1; the
+fundamental domain and the classes D1, D2 are literal data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 
 from .atlas import isotropy_value
 from .bir import psi_matrix, reduced_walk
@@ -24,16 +26,24 @@ from .coxeter import CoxeterSystem, Permutation, build_system, perm_matrix
 from .linalg import Matrix, dot, primitive_int_vector
 
 
+@cache
 def base_system() -> CoxeterSystem:
     return build_system(2, 3)
+
+
+@cache
+def _generator_table() -> dict[str, Matrix]:
+    """The matrices of the letters a, b and B = b^-1, built once."""
+    base = base_system()
+    return {"a": perm_matrix(Permutation.transposition(3, 1, 2)),
+            "b": psi_matrix(base, 1, 3), "B": psi_matrix(base, 3, 1)}
 
 
 def sym_generators() -> tuple[Matrix, Matrix]:
     """The two generators acting on divisor classes: the coordinate swap
     a (order two) and the infinite-order map b through models 1 and 3."""
-    a = perm_matrix(Permutation.transposition(3, 1, 2))
-    b = psi_matrix(base_system(), 1, 3)
-    return a, b
+    table = _generator_table()
+    return table["a"], table["b"]
 
 
 def sym_relation_check() -> bool:
@@ -69,24 +79,13 @@ def tangent_line(p) -> TangentLine:
 
 
 def d_classes() -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The two integral divisor classes at the tangent-line crossings.
-
-    D1 sits where the tangents at e3 and at (-1,2,2) meet; D2 is its image
-    under the swap a.  Each class is twice the primitive ray generator,
-    matching the integral divisors the construction produces: D1 =
-    (-2, 2, 6) and D2 = (2, -2, 6).
-    """
-    l1 = tangent_line((0, 0, 1)).coefficients
-    l2 = tangent_line((-1, 2, 2)).coefficients
-    cross = (l1[1] * l2[2] - l1[2] * l2[1],
-             l1[2] * l2[0] - l1[0] * l2[2],
-             l1[0] * l2[1] - l1[1] * l2[0])
-    ray = primitive_int_vector(cross)
-    if sum(ray) < 0:
-        ray = tuple(-x for x in ray)
-    d1 = tuple(2 * x for x in ray)
-    d2 = (d1[1], d1[0], d1[2])
-    return d1, d2
+    """The two integral divisor classes at the tangent-line crossings:
+    D1 = (-2, 2, 6), where the tangents at e3 and at (-1,2,2) meet, and its
+    image D2 = (2, -2, 6) under the swap a, each twice its primitive ray.
+    Like the fundamental domain they are data; verify's ``tangency`` and
+    ``d-outside-quadric`` checks and ``test_d_classes`` confirm that each
+    lies on its two tangent lines and outside the quadric."""
+    return (-2, 2, 6), (2, -2, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +112,11 @@ class SymWord:
         return len(self.syllables)
 
     def matrix(self) -> Matrix:
-        a, b = sym_generators()
-        b_inv = psi_matrix(base_system(), 3, 1)
+        gens = _generator_table()
         out = Matrix.identity(3)
         for gen, k in self.syllables:
-            out = out * (a if gen == "a" else (b if k > 0 else b_inv) ** abs(k))
+            out = out * (gens["a"] if gen == "a"
+                         else gens["b" if k > 0 else "B"] ** abs(k))
         return out
 
     def spell(self) -> str:
@@ -158,8 +157,7 @@ def sym_words(depth: int):
 
 def _sym_walk(depth: int):
     """(SymWord, matrix) of every reduced word, in the order of sym_words."""
-    a, b = sym_generators()
-    gens = {"a": a, "b": b, "B": psi_matrix(base_system(), 3, 1)}
+    gens = _generator_table()
 
     def step(state, ch):
         word, mat = state

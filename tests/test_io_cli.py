@@ -258,11 +258,14 @@ MATRIX_FREE_RUNS = [
     ("boundary", "--n", "5", "--m", "3", "--depth", "2", "--format", "svg",
      "--labels"),
 ]
-# the symmetric walk still multiplies 3x3 Matrix products and rescales each
-# ray (ROADMAP items 1, 2 and 13): remove the marker when it runs on ints
+# the symmetric walk (3x3 Matrix products) and sym_enumerate's rescale of
+# each ray image (primitive_int_vector) are the only generic-arithmetic
+# users left on that path (ROADMAP items 1, 2 and 13): remove the marker
+# when both run on ints
 SYMMETRIC_WALK = pytest.mark.xfail(
     strict=True, raises=AssertionError,
-    reason="symmetric still runs on Matrix (ROADMAP items 1, 2 and 13)")
+    reason="the symmetric walk and sym_enumerate's rescale still run on "
+           "generic arithmetic (ROADMAP items 1, 2 and 13)")
 
 
 @pytest.mark.parametrize("argv", MATRIX_FREE_RUNS + [
@@ -270,6 +273,26 @@ SYMMETRIC_WALK = pytest.mark.xfail(
                  marks=SYMMETRIC_WALK) for layer in ("movable", "psef")])
 def test_production_path_is_matrix_free(capsys, monkeypatch, argv):
     _refuse_generic_arithmetic(monkeypatch)
+    code, guarded, _ = run_cli(capsys, *argv)
+    assert code == 0
+    monkeypatch.undo()
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0 and guarded == plain
+
+
+@pytest.mark.parametrize("argv", [
+    ("symmetric", "--layer", "psef", "--depth", "3"),
+    ("symmetric", "--layer", "psef", "--depth", "3", "--format", "svg",
+     "--labels")])
+def test_psef_reads_d_classes_as_data(capsys, monkeypatch, argv):
+    # D1 and D2 are data: neither the patches nor the labels derive them
+    from coxmov import symmetric
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("psef path derived D1, D2 again")
+
+    for name in ("tangent_line", "isotropy_value", "primitive_int_vector"):
+        monkeypatch.setattr(symmetric, name, refuse)
     code, guarded, _ = run_cli(capsys, *argv)
     assert code == 0
     monkeypatch.undo()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxmov.atlas import isotropy_value
 from coxmov.bir import eigen_pair
 from coxmov.coxeter import build_system
 from coxmov.exact import QuadExt
@@ -29,6 +30,24 @@ def poly_eval_matrix(coeffs, a: Matrix) -> Matrix:
 def test_floats_rejected():
     with pytest.raises(TypeError):
         Matrix([[0.5, 1], [1, 0]])
+
+
+def test_float_vectors_rejected():
+    # a float in the vector must not turn an exact product inexact
+    msg = "^exact matrices do not accept floats$"
+    with pytest.raises(TypeError, match=msg):
+        Matrix([[1]]) * (0.5,)
+    with pytest.raises(TypeError, match=msg):
+        isotropy_value(build_system(2, 3), (0.5, 1, 1))
+    with pytest.raises(TypeError, match=msg):
+        Matrix([[QuadExt(1, 1, 2)]]) * (0.5,)
+    # int, Fraction and QuadExt vectors still multiply exactly
+    m = Matrix([[1, 2], [3, 4]])
+    assert m * (1, 1) == (3, 7)
+    assert m * (Fraction(1, 2), 1) == (Fraction(5, 2), Fraction(11, 2))
+    r = QuadExt(0, 1, 2)
+    assert m * (r, 1) == (r + 2, 3 * r + 4)
+    assert isotropy_value(build_system(2, 3), (Fraction(1, 2), 1, 1)) == 4
 
 
 def test_mat_mul():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from coxmov.atlas import fundamental_domain, isotropy_value
 from coxmov.bir import psi_matrix
+from coxmov.coxeter import Permutation, build_system, perm_matrix
 from coxmov.linalg import Matrix, primitive_int_vector
 from coxmov.symmetric import (SymWord, _sym_walk, base_system, d_classes,
                               psef_patches, sym_enumerate,
@@ -29,6 +30,17 @@ def test_generators_preserve_quadric():
     qhat = base_system().quadric_matrix()
     assert a.transpose() * qhat * a == qhat
     assert b.transpose() * qhat * b == qhat
+
+
+def test_generator_table_against_oracle():
+    # the depth-1 steps of the walk are a, b and b^-1, each built afresh
+    # here on its own system
+    oracle = build_system(2, 3)
+    expected = {"a": perm_matrix(Permutation.transposition(3, 1, 2)),
+                "b": psi_matrix(oracle, 1, 3), "b^-1": psi_matrix(oracle, 3, 1)}
+    steps = {w.spell(): mat for w, mat in _sym_walk(1) if w.syllables}
+    assert steps == expected
+    assert SymWord.from_letters("bB").matrix() == Matrix.identity(3)
 
 
 def test_relation():
