@@ -24,6 +24,8 @@ from .linalg import Matrix
 
 GRID_N = (1, 2, 3, 4)
 GRID_M = (2, 3, 4, 5)
+# enumeration depths of the free, tiling, boundary and symmetric suites
+FREE_DEPTH, TILING_DEPTH, BOUNDARY_DEPTH, SYMMETRIC_DEPTH = 4, 4, 2, 6
 
 
 def _check(name, identity, params, passed):
@@ -150,12 +152,12 @@ def _expected_charpoly(n: int, m: int) -> tuple:
     return tuple(reversed(coeffs))
 
 
-def suite_free(n=2, m=3, depth=4) -> dict:
+def suite_free(n=2, m=3) -> dict:
     s = build_system(n, m)
-    report = verify_free(s, depth)
+    report = verify_free(s, FREE_DEPTH)
     checks = [_check(
         "free-product", "no normal-form collisions among reduced psi-words",
-        {"n": n, "m": m, "depth": depth,
+        {"n": n, "m": m, "depth": FREE_DEPTH,
          "words_checked": report.words_checked},
         report.collisions == 0)]
 
@@ -185,9 +187,9 @@ def _random_reduced_psi(rng, pairs, length):
     return letters
 
 
-def suite_tiling(n=2, m=3, depth=4) -> dict:
+def suite_tiling(n=2, m=3) -> dict:
     s = build_system(n, m)
-    chambers = enumerate_chambers(s, depth)
+    chambers = enumerate_chambers(s, TILING_DEPTH)
     checks = []
 
     by_word = {c.word: c for c in chambers}
@@ -197,7 +199,8 @@ def suite_tiling(n=2, m=3, depth=4) -> dict:
         ok = ok and res.t_word == c.word
     checks.append(_check(
         "tiling", "interior samples classify back to their generating word",
-        {"n": n, "m": m, "depth": depth, "chambers": len(chambers)}, ok))
+        {"n": n, "m": m, "depth": TILING_DEPTH, "chambers": len(chambers)},
+        ok))
 
     ok = True
     for c in chambers:
@@ -208,12 +211,12 @@ def suite_tiling(n=2, m=3, depth=4) -> dict:
         ok = ok and len(shared) == m - 1
     checks.append(_check(
         "adjacency", "a chamber shares exactly m-1 rays with its parent",
-        {"n": n, "m": m, "depth": depth}, ok))
+        {"n": n, "m": m, "depth": TILING_DEPTH}, ok))
 
     keys = {c.ray_key() for c in chambers}
     checks.append(_check(
         "distinctness", "chambers of distinct reduced words are distinct",
-        {"n": n, "m": m, "depth": depth}, len(keys) == len(chambers)))
+        {"n": n, "m": m, "depth": TILING_DEPTH}, len(keys) == len(chambers)))
 
     rng = random.Random(777 + 10 * n + m)
     ok = True
@@ -239,14 +242,15 @@ def _random_reduced_t(rng, m, length):
     return tuple(word)
 
 
-def suite_boundary(n=3, m=3, depth=2) -> dict:
+def suite_boundary(n=3, m=3) -> dict:
     s = build_system(n, m)
-    patches = boundary_patches(s, depth)
+    patches = boundary_patches(s, BOUNDARY_DEPTH)
     checks = []
     ok = all(isotropy_value(s, p.apex) == 0 for p in patches if p.has_apex)
     checks.append(_check(
         "apex-isotropy", "apex^T * Qhat * apex == 0",
-        {"n": n, "m": m, "depth": depth, "patches": len(patches)}, ok))
+        {"n": n, "m": m, "depth": BOUNDARY_DEPTH, "patches": len(patches)},
+        ok))
     if n >= 3:
         lam_ok = True
         for i in range(1, m + 1):
@@ -294,7 +298,7 @@ def _convergence_check(s) -> bool:
     return True
 
 
-def suite_symmetric(depth=6) -> dict:
+def suite_symmetric() -> dict:
     checks = []
     a, b = sym.sym_generators()
     ident = Matrix.identity(3)
@@ -330,7 +334,7 @@ def suite_symmetric(depth=6) -> dict:
         "half-union", "Pi together with a.Pi spans the hexagon vertex set",
         {}, set(quad) | a_quad == hexagon))
 
-    words = list(sym.sym_words(depth))
+    words = list(sym.sym_words(SYMMETRIC_DEPTH))
     mats = {}
     collide = 0
     for w in words:
@@ -341,9 +345,9 @@ def suite_symmetric(depth=6) -> dict:
             mats[key] = w
     checks.append(_check(
         "free-product", "distinct reduced words in Z/2 * Z have distinct matrices",
-        {"depth": depth, "words": len(words)}, collide == 0))
+        {"depth": SYMMETRIC_DEPTH, "words": len(words)}, collide == 0))
 
-    cones = sym.sym_enumerate(min(depth, 4))
+    cones = sym.sym_enumerate(4)  # the overlap test is quadratic in cones
     ok = True
     for c in cones:
         p = c.interior_point()
@@ -353,7 +357,7 @@ def suite_symmetric(depth=6) -> dict:
             ok = ok and not _inside_cone(p, other.rays)
     checks.append(_check(
         "disjoint-interiors", "translates of the quadrilateral do not overlap",
-        {"depth": min(depth, 4), "cones": len(cones)}, ok))
+        {"depth": 4, "cones": len(cones)}, ok))
     return _suite_report("symmetric", checks)
 
 

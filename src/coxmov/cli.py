@@ -29,8 +29,7 @@ from fractions import Fraction
 
 from . import jsonio
 from .atlas import (DEFAULT_MAX_STEPS, ClassificationError,
-                    boundary_patches, classify, enumerate_chambers,
-                    fundamental_domain)
+                    boundary_patches, classify, enumerate_chambers)
 from .coxeter import build_system
 
 EXIT_OK = 0
@@ -43,14 +42,27 @@ SUITE_CHOICES = ("identities", "free", "tiling", "boundary", "symmetric", "all")
 
 
 class CommandError(Exception):
-    def __init__(self, message, code=EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+    """A usage, parameter or output error: exit 2."""
 
 
 def _emit_error(message: str, code: int, **extra):
     payload = {"error": {"code": code, "message": message, **extra}}
     sys.stderr.write(json.dumps(payload) + "\n")
+
+
+def _exact_str(x) -> str:
+    """``str(Fraction(x))`` at any length: from Python 3.11 ``str`` refuses
+    an int past the int-to-str digit limit (640 digits at least), so a long
+    one is cut in two by a power of ten until each part is short."""
+    x = Fraction(x)
+    if x.denominator != 1:
+        return f"{_exact_str(x.numerator)}/{_exact_str(x.denominator)}"
+    n = abs(x.numerator)
+    if n.bit_length() <= 2000:  # at most 603 digits
+        return str(x)
+    k = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 0.3
+    high, low = divmod(n, 10 ** k)
+    return ("-" if x < 0 else "") + _exact_str(high) + _exact_str(low).zfill(k)
 
 
 def _open_out(path: str, mode: str):
@@ -128,21 +140,14 @@ def _render_config(args):
             raise CommandError("viewport overflows the chart: width*height "
                                "must be a finite positive normal float")
         cfg.viewport = tuple(parts)
-    if args.palette:
-        if args.palette not in svgplot.PALETTES:
-            raise CommandError(f"unknown palette {args.palette!r}")
-        cfg.palette = args.palette
     return cfg
 
 
-def _emit(args, document, render, chart_ok=True):
+def _emit(args, document, render):
     """Write ``document()`` as JSON, or with --format svg the picture
-    ``render(svgplot, config)``; the chart picture is refused unless
-    ``chart_ok``."""
+    ``render(svgplot, config)``."""
     if args.format == "json":
         text = jsonio.dumps(document())
-    elif not chart_ok:
-        raise CommandError("svg output needs m = 3")
     else:
         from . import svgplot
         text = render(svgplot, _render_config(args))
@@ -159,8 +164,7 @@ def cmd_chambers(args) -> int:
     sys_ = build_system(args.n, args.m, enforce_dimension_bound=True)
     chambers = enumerate_chambers(sys_, args.depth)
     _emit(args, lambda: jsonio.chambers_document(sys_, args.depth, chambers),
-          lambda plot, cfg: plot.render_chambers(sys_, chambers, cfg),
-          args.m == 3)
+          lambda plot, cfg: plot.render_chambers(sys_, chambers, cfg))
     return EXIT_OK
 
 
@@ -177,7 +181,7 @@ def cmd_classify(args) -> int:
     except ClassificationError as exc:
         _emit_error(f"classification failed: {exc}", EXIT_DOMAIN,
                     steps=exc.steps,
-                    last_iterate=[str(x) for x in exc.last_iterate])
+                    last_iterate=[_exact_str(x) for x in exc.last_iterate])
         return EXIT_DOMAIN
     _write(jsonio.dumps(jsonio.classify_document(sys_, coords, result)),
            args.out)
@@ -192,9 +196,7 @@ def cmd_boundary(args) -> int:
             "systems accumulate differently and are not described here")
     patches = boundary_patches(sys_, args.depth)
     _emit(args, lambda: jsonio.boundary_document(sys_, args.depth, patches),
-          lambda plot, cfg: plot.render_boundary(
-              sys_, fundamental_domain(sys_), patches, cfg),
-          args.m == 3)
+          lambda plot, cfg: plot.render_boundary(sys_, patches, cfg))
     return EXIT_OK
 
 
@@ -207,8 +209,7 @@ def cmd_symmetric(args) -> int:
         items = symmetric.psef_patches(args.depth)
         picture = "render_symmetric_psef"
     _emit(args, lambda: jsonio.symmetric_document(args.depth, args.layer, items),
-          lambda plot, cfg: getattr(plot, picture)(
-              items, symmetric.base_system(), cfg))
+          lambda plot, cfg: getattr(plot, picture)(items, cfg))
     return EXIT_OK
 
 
@@ -244,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_render(p):
         p.add_argument("--format", choices=("json", "svg"), default="json")
         p.add_argument("--viewport", help="svg viewport: x,y,width,height")
-        p.add_argument("--palette", help="svg palette name")
         p.add_argument("--labels", action="store_true",
                        help="draw ray labels in svg output")
 
@@ -312,11 +312,8 @@ def main(argv=None) -> int:
         code = args.func(args)
         done = True
         return code
-    except CommandError as exc:
-        _emit_error(str(exc), exc.code)
-        return exc.code
-    except ValueError as exc:
-        # parameter errors from the library, BudgetError included
+    except (CommandError, ValueError) as exc:
+        # ours, or parameter errors from the library, BudgetError included
         _emit_error(str(exc), EXIT_USAGE)
         return EXIT_USAGE
     finally:

@@ -6,6 +6,11 @@ affine combination.  This is the only place in the package where floating
 point appears: coordinates are emitted with 12 significant digits
 (IEEE round-half-even), elements in a fixed order, so output bytes are
 identical across runs and platforms.
+
+Each renderer takes only what it cannot work out: ``render_boundary``
+draws ``fundamental_domain(sys)`` itself, and the two symmetric renderers
+draw on ``symmetric.base_system()``.  The colours are the fixed table
+``COLORS``, and the chart pictures of a system refuse m != 3.
 """
 
 from __future__ import annotations
@@ -13,34 +18,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .atlas import project_affine
+from .atlas import fundamental_domain, project_affine
 from .coxeter import CoxeterSystem
-from .symmetric import d_classes
+from .symmetric import base_system, d_classes
 
-PALETTES = {
-    "default": {
-        "background": "#ffffff",
-        "nef": "#2b6cb0",
-        "fundamental": "#c53030",
-        "orbit": "#4a5568",
-        "edge": "#1a202c",
-        "conic": "#1a202c",
-        "apex": "#2f855a",
-        "proven": "#2f855a",
-        "expected": "#d69e2e",
-        "label": "#444444",
-    },
+COLORS = {
+    "background": "#ffffff",
+    "nef": "#2b6cb0",
+    "fundamental": "#c53030",
+    "orbit": "#4a5568",
+    "edge": "#1a202c",
+    "conic": "#1a202c",
+    "apex": "#2f855a",
+    "proven": "#2f855a",
+    "expected": "#d69e2e",
+    "label": "#444444",
 }
 
 
 @dataclass
 class RenderConfig:
     viewport: tuple[float, float, float, float] = (0.0, 0.0, 900.0, 800.0)
-    palette: str = "default"
     labels: bool = False
-
-    def colors(self) -> dict:
-        return PALETTES[self.palette]
 
     def corners(self) -> tuple:
         vx, vy, w, h = self.viewport
@@ -137,7 +136,7 @@ def conic_ellipse(sys: CoxeterSystem, config: RenderConfig) -> str | None:
         return None
     r1, r2 = math.sqrt(-f0 / lam1), math.sqrt(-f0 / lam2)
     angle = 0.5 * math.degrees(math.atan2(2.0 * b, a - c))
-    color = config.colors()["conic"]
+    color = COLORS["conic"]
     return (f'<ellipse cx="{fnum(cx)}" cy="{fnum(cy)}" rx="{fnum(r1)}" '
             f'ry="{fnum(r2)}" transform="rotate({fnum(angle)} {fnum(cx)} '
             f'{fnum(cy)})" fill="none" stroke="{color}" stroke-width="1.5" '
@@ -155,7 +154,7 @@ def _document(sys: CoxeterSystem, config: RenderConfig, under: list[str],
         (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
          f'viewBox="{fnum(vx)} {fnum(vy)} {fnum(w)} {fnum(h)}">'),
         (f'<rect x="{fnum(vx)}" y="{fnum(vy)}" width="{fnum(w)}" '
-         f'height="{fnum(h)}" fill="{config.colors()["background"]}"/>'),
+         f'height="{fnum(h)}" fill="{COLORS["background"]}"/>'),
         *under, *([conic] if conic else []), *over, "</svg>",
     ]
     return "\n".join(lines) + "\n"
@@ -165,31 +164,35 @@ def _labels(config: RenderConfig, named) -> list[str]:
     """A text label beside each ``(name, ray)`` when labels are on."""
     if not config.labels:
         return []
-    corners, color = config.corners(), config.colors()["label"]
     out = []
     for name, ray in named:
-        x, y = chart_xy(ray, corners)
-        out.append(text((x + 8, y - 8), name, color))
+        x, y = chart_xy(ray, config.corners())
+        out.append(text((x + 8, y - 8), name, COLORS["label"]))
     return out
 
 
-def _chamber_style(word_len: int, colors: dict) -> tuple[str, float]:
+def _chamber_style(word_len: int) -> tuple[str, float]:
     if word_len == 0:
-        return colors["nef"], 0.85
+        return COLORS["nef"], 0.85
     if word_len == 1:
-        return colors["fundamental"], 0.8
-    return colors["orbit"], max(0.08, 0.5 * (0.72 ** (word_len - 2)))
+        return COLORS["fundamental"], 0.8
+    return COLORS["orbit"], max(0.08, 0.5 * (0.72 ** (word_len - 2)))
+
+
+def _require_chart(sys: CoxeterSystem):
+    if sys.m != 3:  # the affine chart is the rank-3 one
+        raise ValueError("svg output needs m = 3")
 
 
 def _tiling(sys: CoxeterSystem, config: RenderConfig, tiles) -> str:
     """``(level, rays)`` tiles as polygons, deepest first, styled by
     ``_chamber_style(level)``, with the H1-H3 labels over the quadric."""
-    colors, corners = config.colors(), config.corners()
+    corners = config.corners()
     under = []
     for level, rays in sorted(tiles, key=lambda tile: -tile[0]):
-        fill, opacity = _chamber_style(level, colors)
+        fill, opacity = _chamber_style(level)
         under.append(polygon([chart_xy(r, corners) for r in rays], fill,
-                             opacity, colors["edge"], 0.75))
+                             opacity, COLORS["edge"], 0.75))
     hyperplanes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     return _document(sys, config, under,
                      _labels(config, zip(("H1", "H2", "H3"), hyperplanes)))
@@ -198,58 +201,51 @@ def _tiling(sys: CoxeterSystem, config: RenderConfig, tiles) -> str:
 def render_chambers(sys: CoxeterSystem, chambers, config: RenderConfig) -> str:
     """Chamber tiling in the chart: nef cone and fundamental region
     highlighted, orbit depth encoded by fill opacity, quadric overlaid."""
-    if sys.m != 3:
-        raise ValueError("chart rendering needs m = 3")
+    _require_chart(sys)
     return _tiling(sys, config, [(len(ch.word), ch.rays) for ch in chambers])
 
 
-def render_boundary(sys: CoxeterSystem, fundamental, patches,
-                    config: RenderConfig) -> str:
+def render_boundary(sys: CoxeterSystem, patches, config: RenderConfig) -> str:
     """Boundary sampling: fundamental region outline, quadric, and the
     patch cones (apex-to-ray segments, or single rays when the apex is
     zero)."""
-    if sys.m != 3:
-        raise ValueError("chart rendering needs m = 3")
-    colors = config.colors()
+    _require_chart(sys)
     corners = config.corners()
     under, over = [], []
-    for ch in fundamental:
+    for ch in fundamental_domain(sys):
         pts = [chart_xy(r, corners) for r in ch.rays]
-        fill, _ = _chamber_style(len(ch.word), colors)
-        under.append(polygon(pts, fill, 0.25, colors["edge"], 0.75))
+        fill, _ = _chamber_style(len(ch.word))
+        under.append(polygon(pts, fill, 0.25, COLORS["edge"], 0.75))
     for p in patches:
         ray_pts = [chart_xy(r, corners) for r in p.base_rays]
         if p.has_apex:
             apex_pt = chart_xy(p.apex, corners)
             for rp in ray_pts:
-                over.append(segment(apex_pt, rp, colors["proven"], 1.5))
-            over.append(disc(apex_pt, 3.0, colors["apex"]))
+                over.append(segment(apex_pt, rp, COLORS["proven"], 1.5))
+            over.append(disc(apex_pt, 3.0, COLORS["apex"]))
         for rp in ray_pts:
-            over.append(disc(rp, 2.5, colors["nef"]))
+            over.append(disc(rp, 2.5, COLORS["nef"]))
     return _document(sys, config, under, over)
 
 
-def render_symmetric_movable(cones, sys: CoxeterSystem,
-                             config: RenderConfig) -> str:
+def render_symmetric_movable(cones, config: RenderConfig) -> str:
     """Quadrilateral tiling of the movable cone in the symmetric case."""
-    return _tiling(sys, config, [(cone.word.syllable_length + 1, cone.rays)
-                                 for cone in cones])
+    tiles = [(cone.word.syllable_length + 1, cone.rays) for cone in cones]
+    return _tiling(base_system(), config, tiles)
 
 
-def render_symmetric_psef(patches, sys: CoxeterSystem,
-                          config: RenderConfig) -> str:
+def render_symmetric_psef(patches, config: RenderConfig) -> str:
     """Expected pseudoeffective picture: the quadric plus the proven
     boundary segments and the conjectural cones glued tangentially."""
-    colors = config.colors()
     corners = config.corners()
     under, over = [], []
     for p in patches:
         pts = [chart_xy(r, corners) for r in p.rays]
         if p.status == "expected":
-            under.append(polygon(pts, colors["expected"], 0.3,
-                                 colors["expected"], 0.5))
+            under.append(polygon(pts, COLORS["expected"], 0.3,
+                                 COLORS["expected"], 0.5))
         elif p.status == "proven":
-            over.append(segment(pts[0], pts[1], colors["proven"], 2.0))
-            over.extend(disc(pt, 2.5, colors["proven"]) for pt in pts)
+            over.append(segment(pts[0], pts[1], COLORS["proven"], 2.0))
+            over.extend(disc(pt, 2.5, COLORS["proven"]) for pt in pts)
     over += _labels(config, zip(("D1", "D2"), d_classes()))
-    return _document(sys, config, under, over)
+    return _document(base_system(), config, under, over)

@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import gc
 import hashlib
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 
 import coxmov.linalg
 from coxmov import checks, cli, jsonio
-from coxmov.atlas import (boundary_patches, classify, enumerate_chambers,
-                          fundamental_domain)
+from coxmov.atlas import (ClassificationError, boundary_patches, classify,
+                          enumerate_chambers, fundamental_domain)
 from coxmov.bir import PsiWord
 from coxmov.cli import main
 from coxmov.coxeter import CoxeterSystem, build_system
@@ -365,6 +366,15 @@ def test_cli_chambers_svg(capsys):
     assert "m = 3" in error_payload(err)["message"]
 
 
+def test_chart_renderers_refuse_m_other_than_3():
+    from coxmov import svgplot
+    sys4, config = build_system(2, 4), svgplot.RenderConfig()
+    for render in (svgplot.render_chambers, svgplot.render_boundary):
+        with pytest.raises(ValueError) as exc:
+            render(sys4, [], config)
+        assert str(exc.value) == "svg output needs m = 3"
+
+
 def test_cli_classify(capsys):
     code, out, _ = run_cli(capsys, "classify", "--n", "2", "--m", "3",
                            "--class", "1,1,1")
@@ -398,6 +408,48 @@ def test_cli_classify(capsys):
     code, _, err = run_cli(capsys, "classify", "--n", "2", "--m", "3",
                            "--class", "1,1")
     assert code == 2
+
+
+@contextlib.contextmanager
+def _no_int_str_limit():
+    """Convert ints of any length here (Python >= 3.11 caps str and int)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_cli_classify_long_walk_exits_3(capsys):
+    # the last iterate of 12000 steps has more digits than str() writes
+    # on Python >= 3.11 (4300 by default)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, out, err = run_cli(capsys, "classify", "--n", "2", "--m", "3",
+                             "--class", "-1,-1,-1", "--max-steps", "12000")
+    assert (code, out) == (3, "")
+    # the limit still guards the parsing of input
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    payload = error_payload(err)
+    assert payload["steps"] == 12000
+    with pytest.raises(ClassificationError) as exc:
+        classify(build_system(2, 3), (-1, -1, -1), max_steps=12000)
+    assert max(map(len, payload["last_iterate"])) > 4300
+    with _no_int_str_limit():
+        assert [Fraction(x) for x in payload["last_iterate"]] == list(
+            exc.value.last_iterate)
+
+
+@pytest.mark.parametrize("bits", [0, 1, 2000, 2001, 15000, 40000])
+def test_exact_str_matches_str(bits):
+    n = 3 ** (bits * 100 // 158) + bits  # about ``bits`` bits
+    values = [n, -n, Fraction(n, 7 ** 2000), Fraction(10 ** (bits // 4)),
+              Fraction(1 - 10 ** (bits // 4))]
+    with _no_int_str_limit():
+        expected = [str(Fraction(x)) for x in values]
+    assert [cli._exact_str(x) for x in values] == expected
 
 
 def test_cli_boundary(capsys):
@@ -691,9 +743,12 @@ def test_cli_viewport_and_palette(capsys):
                            "--viewport", "0,0,450,400")
     assert code == 0
     assert 'viewBox="0 0 450 400"' in out
-    code, _, err = run_cli(capsys, "chambers", "--n", "2", "--m", "3",
-                           "--format", "svg", "--palette", "nope")
-    assert code == 2
+    # the one palette is fixed, so the flag is gone
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "chambers", "--n", "2", "--m", "3", "--format", "svg",
+                "--palette", "default")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --palette" in capsys.readouterr().err
     for bad in ("1,2,3", "a,b,c,d", "0,0,0,0", "0,0,nan,5", "0,0,-1,5",
                 "0,inf,450,400", "0,0,450,400,1"):
         code, out, err = run_cli(capsys, "chambers", "--n", "2", "--m", "3",
@@ -869,9 +924,6 @@ GOLDEN = [
      EMPTY,
      ('{"error": {"code": 2, "message": "malformed class string: In'
       'valid literal for Fraction: \'zebra\'"}}\n'), 2),
-    ('chambers --n 2 --m 3 --format svg --palette nope', None,
-     EMPTY,
-     '{"error": {"code": 2, "message": "unknown palette \'nope\'"}}\n', 2),
     ('chambers --n 2 --m 3 --format svg --viewport 0,0,0,0', None,
      EMPTY,
      ('{"error": {"code": 2, "message": "viewport needs four comma-'
