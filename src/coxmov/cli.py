@@ -7,8 +7,9 @@ repeated runs with the same inputs produce byte-identical output.
 Exit codes: 0 success, 1 a verify check failed, 2 usage, parameter or
 output error (with an error JSON on stderr), 3 domain failure
 (classification walk hit its step cap).  Output errors are an --out file
-that cannot be opened, a failed write to --out or stdout, and an svg
---viewport that overflows the chart.
+that cannot be opened and a failed write to --out or stdout.  Every
+number in the JSON output is exact at any length, and svg output is
+drawn on a fixed 900x800 viewBox.
 An --out file is checked for writability before any computation; a file
 the run created is removed again when the run fails or writes nothing,
 and an existing one keeps its bytes unless the output is written whole.
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import stat
 import sys
@@ -48,21 +48,6 @@ class CommandError(Exception):
 def _emit_error(message: str, code: int, **extra):
     payload = {"error": {"code": code, "message": message, **extra}}
     sys.stderr.write(json.dumps(payload) + "\n")
-
-
-def _exact_str(x) -> str:
-    """``str(Fraction(x))`` at any length: from Python 3.11 ``str`` refuses
-    an int past the int-to-str digit limit (640 digits at least), so a long
-    one is cut in two by a power of ten until each part is short."""
-    x = Fraction(x)
-    if x.denominator != 1:
-        return f"{_exact_str(x.numerator)}/{_exact_str(x.denominator)}"
-    n = abs(x.numerator)
-    if n.bit_length() <= 2000:  # at most 603 digits
-        return str(x)
-    k = n.bit_length() * 3 // 20  # about half the digits: log10(2) > 0.3
-    high, low = divmod(n, 10 ** k)
-    return ("-" if x < 0 else "") + _exact_str(high) + _exact_str(low).zfill(k)
 
 
 def _open_out(path: str, mode: str):
@@ -124,33 +109,14 @@ def _write(text: str, out: str | None):
             f"cannot write {out or 'stdout'}: {exc.strerror}") from exc
 
 
-def _render_config(args):
-    from . import svgplot
-    cfg = svgplot.RenderConfig(labels=args.labels)
-    if args.viewport:
-        try:
-            parts = [float(x) for x in args.viewport.split(",")]
-        except ValueError:
-            parts = []
-        if len(parts) != 4 or not all(map(math.isfinite, parts)) or min(parts[2:]) <= 0:
-            raise CommandError("viewport needs four comma-separated finite "
-                               "numbers x,y,width,height, width and height > 0")
-        # the chart's determinant is -width*height/3
-        if not sys.float_info.min <= parts[2] * parts[3] <= sys.float_info.max:
-            raise CommandError("viewport overflows the chart: width*height "
-                               "must be a finite positive normal float")
-        cfg.viewport = tuple(parts)
-    return cfg
-
-
 def _emit(args, document, render):
     """Write ``document()`` as JSON, or with --format svg the picture
-    ``render(svgplot, config)``."""
+    ``render(svgplot, labels)``."""
     if args.format == "json":
         text = jsonio.dumps(document())
     else:
         from . import svgplot
-        text = render(svgplot, _render_config(args))
+        text = render(svgplot, args.labels)
     _write(text, args.out)
 
 
@@ -164,7 +130,7 @@ def cmd_chambers(args) -> int:
     sys_ = build_system(args.n, args.m, enforce_dimension_bound=True)
     chambers = enumerate_chambers(sys_, args.depth)
     _emit(args, lambda: jsonio.chambers_document(sys_, args.depth, chambers),
-          lambda plot, cfg: plot.render_chambers(sys_, chambers, cfg))
+          lambda plot, labels: plot.render_chambers(sys_, chambers, labels))
     return EXIT_OK
 
 
@@ -181,7 +147,8 @@ def cmd_classify(args) -> int:
     except ClassificationError as exc:
         _emit_error(f"classification failed: {exc}", EXIT_DOMAIN,
                     steps=exc.steps,
-                    last_iterate=[_exact_str(x) for x in exc.last_iterate])
+                    last_iterate=[jsonio.frac_to_str(x)
+                                  for x in exc.last_iterate])
         return EXIT_DOMAIN
     _write(jsonio.dumps(jsonio.classify_document(sys_, coords, result)),
            args.out)
@@ -196,7 +163,7 @@ def cmd_boundary(args) -> int:
             "systems accumulate differently and are not described here")
     patches = boundary_patches(sys_, args.depth)
     _emit(args, lambda: jsonio.boundary_document(sys_, args.depth, patches),
-          lambda plot, cfg: plot.render_boundary(sys_, patches, cfg))
+          lambda plot, labels: plot.render_boundary(sys_, patches, labels))
     return EXIT_OK
 
 
@@ -209,7 +176,7 @@ def cmd_symmetric(args) -> int:
         items = symmetric.psef_patches(args.depth)
         picture = "render_symmetric_psef"
     _emit(args, lambda: jsonio.symmetric_document(args.depth, args.layer, items),
-          lambda plot, cfg: getattr(plot, picture)(items, cfg))
+          lambda plot, labels: getattr(plot, picture)(items, labels))
     return EXIT_OK
 
 
@@ -244,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_render(p):
         p.add_argument("--format", choices=("json", "svg"), default="json")
-        p.add_argument("--viewport", help="svg viewport: x,y,width,height")
         p.add_argument("--labels", action="store_true",
                        help="draw ray labels in svg output")
 

@@ -2,6 +2,7 @@
 
 Rationals are emitted as reduced integer-or-"p/q" strings (never floats),
 quadratic scalars as {"a", "b", "d"} objects, words as integer arrays.
+Every integer is written in full at any length (``int_str``).
 The schema is versioned and documented in ``schema/coxmov.schema.json``.
 ``dumps`` writes the ``json.dumps(indent=2, ensure_ascii=True)`` layout
 from module-level functions appending to one list, so a call leaves no
@@ -11,6 +12,7 @@ int, bool, None, str-keyed dict, list or tuple raises ``TypeError``.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
@@ -30,8 +32,24 @@ SCHEMA_VERSION = "1"
 
 # -- scalars ---------------------------------------------------------------
 
+def int_str(n: int) -> str:
+    """``str(n)`` at any length: from Python 3.11 ``str`` refuses an int
+    past ``sys.get_int_max_str_digits()`` digits (4300 by default), while
+    ``Decimal`` converts it without a limit."""
+    try:
+        return int.__repr__(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def frac_to_str(x) -> str:
-    return str(Fraction(x))
+    """``str(Fraction(x))`` at any length."""
+    x = Fraction(x)
+    try:
+        return str(x)
+    except ValueError:  # past the int-to-str digit limit
+        text = int_str(x.numerator)
+        return text if x.denominator == 1 else f"{text}/{int_str(x.denominator)}"
 
 
 def str_to_frac(s: str) -> Fraction:
@@ -191,7 +209,10 @@ def _write_json(obj, out: list, level: int):
     if kind is str:
         out.append(encode_basestring_ascii(obj))
     elif kind is int:
-        out.append(int.__repr__(obj))
+        try:
+            out.append(int.__repr__(obj))
+        except ValueError:  # past the int-to-str digit limit
+            out.append(int_str(obj))
     elif obj is None or kind is bool:
         out.append(_CONSTANTS[obj])
     elif kind is dict or kind is list or kind is tuple:
@@ -214,7 +235,11 @@ def _write_json(obj, out: list, level: int):
         kinds = set(map(type, obj))
         if kinds == {str} or kinds == {int}:
             scalar = encode_basestring_ascii if str in kinds else int.__repr__
-            out.append("[" + pad + ("," + pad).join(map(scalar, obj)) + close)
+            try:
+                items = ("," + pad).join(map(scalar, obj))
+            except ValueError:  # an int past the int-to-str digit limit
+                items = ("," + pad).join(map(int_str, obj))
+            out.append("[" + pad + items + close)
             return
         sep = "[" + pad
         for item in obj:

@@ -16,7 +16,6 @@ draw on ``symmetric.base_system()``.  The colours are the fixed table
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .atlas import fundamental_domain, project_affine
 from .coxeter import CoxeterSystem
@@ -36,33 +35,28 @@ COLORS = {
 }
 
 
-@dataclass
-class RenderConfig:
-    viewport: tuple[float, float, float, float] = (0.0, 0.0, 900.0, 800.0)
-    labels: bool = False
-
-    def corners(self) -> tuple:
-        vx, vy, w, h = self.viewport
-        return ((vx + w / 6.0, vy + 2.0 * h / 3.0),
-                (vx + 5.0 * w / 6.0, vy + 2.0 * h / 3.0),
-                (vx + w / 2.0, vy + h / 6.0))
+# The canvas: a 900 x 800 viewBox at the origin, with the standard rays
+# e1, e2, e3 of the sum-one chart at these corner anchors.
+WIDTH, HEIGHT = 900.0, 800.0
+CORNERS = ((WIDTH / 6.0, 2.0 * HEIGHT / 3.0),
+           (5.0 * WIDTH / 6.0, 2.0 * HEIGHT / 3.0),
+           (WIDTH / 2.0, HEIGHT / 6.0))
 
 
 def fnum(x: float) -> str:
     x = float(x)
     if not math.isfinite(x):
-        raise ValueError(f"viewport overflows the chart: coordinate {x}")
+        raise ValueError(f"svg coordinate {x} is not finite")
     s = format(x, ".12g")
     return "0" if s in ("-0", "-0.0") else s
 
 
-def chart_xy(vec, corners) -> tuple[float, float]:
+def chart_xy(vec) -> tuple[float, float]:
     """Canvas position of a ray: normalize to the sum-one chart, then take
     the affine combination of the corner anchors."""
-    hat = project_affine(vec)
-    hat = [float(x) for x in hat]
-    x = sum(h * c[0] for h, c in zip(hat, corners))
-    y = sum(h * c[1] for h, c in zip(hat, corners))
+    hat = [float(x) for x in project_affine(vec)]
+    x = sum(h * c[0] for h, c in zip(hat, CORNERS))
+    y = sum(h * c[1] for h, c in zip(hat, CORNERS))
     return x, y
 
 
@@ -90,14 +84,19 @@ def text(p, s, fill) -> str:
             f'font-size="18" font-family="sans-serif">{s}</text>')
 
 
-def conic_ellipse(sys: CoxeterSystem, config: RenderConfig) -> str | None:
+def conic_ellipse(sys: CoxeterSystem) -> str | None:
     """The invariant quadric as a canvas ellipse.
 
     The quadric meets the chart plane in an ellipse whenever the system is
     Lorentzian (the chart section of a round cone); degenerate systems
     return None and no conic is drawn.
     """
-    q = [[float(e) for e in row] for row in sys.quadric_matrix().rows]
+    rows = sys.quadric_matrix().rows  # integral entries
+    # any positive multiple of the quadric has the same conic: scale the
+    # entries to at most 53 bits, so that each float is finite at any n
+    bits = max(abs(e.numerator).bit_length() for row in rows for e in row)
+    scale = 1 << max(0, bits - 53)
+    q = [[e.numerator / scale for e in row] for row in rows]
 
     def form(u, v):
         return sum(u[a] * q[a][b] * v[b] for a in range(3) for b in range(3))
@@ -108,13 +107,11 @@ def conic_ellipse(sys: CoxeterSystem, config: RenderConfig) -> str | None:
          [form(u2, u1), form(u2, u2), form(u2, w0)],
          [form(w0, u1), form(w0, u2), form(w0, w0)]]
 
-    c1, c2, c3 = config.corners()
+    c1, c2, c3 = CORNERS
     # canvas = M * (x, y) + c3  with columns c1-c3 and c2-c3
     m11, m12 = c1[0] - c3[0], c2[0] - c3[0]
     m21, m22 = c1[1] - c3[1], c2[1] - c3[1]
     det = m11 * m22 - m12 * m21
-    if not det:
-        raise ValueError("viewport overflows the chart: its corners coincide")
     # inverse affine: chart = T * (X, Y, 1) in homogeneous coordinates
     t = [[m22 / det, -m12 / det, (m12 * c3[1] - m22 * c3[0]) / det],
          [-m21 / det, m11 / det, (m21 * c3[0] - m11 * c3[1]) / det],
@@ -143,30 +140,28 @@ def conic_ellipse(sys: CoxeterSystem, config: RenderConfig) -> str | None:
             f'stroke-dasharray="7 5"/>')
 
 
-def _document(sys: CoxeterSystem, config: RenderConfig, under: list[str],
-              over: list[str]) -> str:
+def _document(sys: CoxeterSystem, under: list[str], over: list[str]) -> str:
     """The SVG document: background, the ``under`` elements, the quadric
     (when the chart section is an ellipse), then the ``over`` elements."""
-    vx, vy, w, h = config.viewport
-    conic = conic_ellipse(sys, config)
+    conic = conic_ellipse(sys)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-         f'viewBox="{fnum(vx)} {fnum(vy)} {fnum(w)} {fnum(h)}">'),
-        (f'<rect x="{fnum(vx)}" y="{fnum(vy)}" width="{fnum(w)}" '
-         f'height="{fnum(h)}" fill="{COLORS["background"]}"/>'),
+         f'viewBox="0 0 {fnum(WIDTH)} {fnum(HEIGHT)}">'),
+        (f'<rect x="0" y="0" width="{fnum(WIDTH)}" height="{fnum(HEIGHT)}" '
+         f'fill="{COLORS["background"]}"/>'),
         *under, *([conic] if conic else []), *over, "</svg>",
     ]
     return "\n".join(lines) + "\n"
 
 
-def _labels(config: RenderConfig, named) -> list[str]:
-    """A text label beside each ``(name, ray)`` when labels are on."""
-    if not config.labels:
+def _labels(labels: bool, named) -> list[str]:
+    """A text label beside each ``(name, ray)`` when ``labels`` is set."""
+    if not labels:
         return []
     out = []
     for name, ray in named:
-        x, y = chart_xy(ray, config.corners())
+        x, y = chart_xy(ray)
         out.append(text((x + 8, y - 8), name, COLORS["label"]))
     return out
 
@@ -184,68 +179,65 @@ def _require_chart(sys: CoxeterSystem):
         raise ValueError("svg output needs m = 3")
 
 
-def _tiling(sys: CoxeterSystem, config: RenderConfig, tiles) -> str:
+def _tiling(sys: CoxeterSystem, labels: bool, tiles) -> str:
     """``(level, rays)`` tiles as polygons, deepest first, styled by
     ``_chamber_style(level)``, with the H1-H3 labels over the quadric."""
-    corners = config.corners()
     under = []
     for level, rays in sorted(tiles, key=lambda tile: -tile[0]):
         fill, opacity = _chamber_style(level)
-        under.append(polygon([chart_xy(r, corners) for r in rays], fill,
-                             opacity, COLORS["edge"], 0.75))
+        under.append(polygon([chart_xy(r) for r in rays], fill, opacity,
+                             COLORS["edge"], 0.75))
     hyperplanes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    return _document(sys, config, under,
-                     _labels(config, zip(("H1", "H2", "H3"), hyperplanes)))
+    return _document(sys, under,
+                     _labels(labels, zip(("H1", "H2", "H3"), hyperplanes)))
 
 
-def render_chambers(sys: CoxeterSystem, chambers, config: RenderConfig) -> str:
+def render_chambers(sys: CoxeterSystem, chambers, labels: bool = False) -> str:
     """Chamber tiling in the chart: nef cone and fundamental region
     highlighted, orbit depth encoded by fill opacity, quadric overlaid."""
     _require_chart(sys)
-    return _tiling(sys, config, [(len(ch.word), ch.rays) for ch in chambers])
+    return _tiling(sys, labels, [(len(ch.word), ch.rays) for ch in chambers])
 
 
-def render_boundary(sys: CoxeterSystem, patches, config: RenderConfig) -> str:
+def render_boundary(sys: CoxeterSystem, patches, labels: bool = False) -> str:
     """Boundary sampling: fundamental region outline, quadric, and the
     patch cones (apex-to-ray segments, or single rays when the apex is
-    zero)."""
+    zero).  There are no labels to draw, so ``labels`` changes nothing."""
     _require_chart(sys)
-    corners = config.corners()
     under, over = [], []
     for ch in fundamental_domain(sys):
-        pts = [chart_xy(r, corners) for r in ch.rays]
+        pts = [chart_xy(r) for r in ch.rays]
         fill, _ = _chamber_style(len(ch.word))
         under.append(polygon(pts, fill, 0.25, COLORS["edge"], 0.75))
     for p in patches:
-        ray_pts = [chart_xy(r, corners) for r in p.base_rays]
+        ray_pts = [chart_xy(r) for r in p.base_rays]
         if p.has_apex:
-            apex_pt = chart_xy(p.apex, corners)
+            apex_pt = chart_xy(p.apex)
             for rp in ray_pts:
                 over.append(segment(apex_pt, rp, COLORS["proven"], 1.5))
             over.append(disc(apex_pt, 3.0, COLORS["apex"]))
         for rp in ray_pts:
             over.append(disc(rp, 2.5, COLORS["nef"]))
-    return _document(sys, config, under, over)
+    return _document(sys, under, over)
 
 
-def render_symmetric_movable(cones, config: RenderConfig) -> str:
+def render_symmetric_movable(cones, labels: bool = False) -> str:
     """Quadrilateral tiling of the movable cone in the symmetric case."""
     tiles = [(cone.word.syllable_length + 1, cone.rays) for cone in cones]
-    return _tiling(base_system(), config, tiles)
+    return _tiling(base_system(), labels, tiles)
 
 
-def render_symmetric_psef(patches, config: RenderConfig) -> str:
+def render_symmetric_psef(patches, labels: bool = False) -> str:
     """Expected pseudoeffective picture: the quadric plus the proven
     boundary segments and the conjectural cones glued tangentially."""
-    corners = config.corners()
     under, over = [], []
     for p in patches:
-        pts = [chart_xy(r, corners) for r in p.rays]
+        pts = [chart_xy(r) for r in p.rays]
         if p.status == "expected":
             under.append(polygon(pts, COLORS["expected"], 0.3,
                                  COLORS["expected"], 0.5))
         elif p.status == "proven":
             over.append(segment(pts[0], pts[1], COLORS["proven"], 2.0))
             over.extend(disc(pt, 2.5, COLORS["proven"]) for pt in pts)
-    over += _labels(config, zip(("D1", "D2"), d_classes()))
-    return _document(base_system(), config, under, over)
+    over += _labels(labels, zip(("D1", "D2"), d_classes()))
+    return _document(base_system(), under, over)

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -368,10 +369,10 @@ def test_cli_chambers_svg(capsys):
 
 def test_chart_renderers_refuse_m_other_than_3():
     from coxmov import svgplot
-    sys4, config = build_system(2, 4), svgplot.RenderConfig()
+    sys4 = build_system(2, 4)
     for render in (svgplot.render_chambers, svgplot.render_boundary):
         with pytest.raises(ValueError) as exc:
-            render(sys4, [], config)
+            render(sys4, [])
         assert str(exc.value) == "svg output needs m = 3"
 
 
@@ -447,9 +448,44 @@ def test_exact_str_matches_str(bits):
     n = 3 ** (bits * 100 // 158) + bits  # about ``bits`` bits
     values = [n, -n, Fraction(n, 7 ** 2000), Fraction(10 ** (bits // 4)),
               Fraction(1 - 10 ** (bits // 4))]
+    ints = [n, -n, 10 ** (bits // 4), 1 - 10 ** (bits // 4)]
     with _no_int_str_limit():
         expected = [str(Fraction(x)) for x in values]
-    assert [cli._exact_str(x) for x in values] == expected
+        expected_ints = [str(x) for x in ints]
+        expected_doc = json.dumps({"n": n, "ints": ints}, indent=2) + "\n"
+    assert [jsonio.frac_to_str(x) for x in values] == expected
+    assert [jsonio.int_str(x) for x in ints] == expected_ints
+    assert jsonio.dumps({"n": n, "ints": ints}) == expected_doc
+
+
+def test_cli_chambers_past_the_int_str_limit(capsys):
+    # the rays of depth 3 at n = 10^1500 have more than 4300 digits
+    n = 10 ** 1500
+    code, out, err = run_cli(capsys, "chambers", "--n", str(n), "--m", "3",
+                             "--depth", "3")
+    assert (code, err) == (0, "")
+    # json.loads refuses an int past 4300 digits from Python 3.11
+    doc = json.loads(out, parse_int=Decimal)
+    chambers = enumerate_chambers(build_system(n, 3), 3)
+    assert doc["params"]["n"] == Decimal(n)
+    assert [[[Decimal(x) for x in r] for r in ch.rays] for ch in chambers] \
+        == [ch["rays"] for ch in doc["chambers"]]
+    assert max(len(str(x)) for ch in doc["chambers"] for r in ch["rays"]
+               for x in r) > 4300
+    code, out, err = run_cli(capsys, "chambers", "--n", str(n), "--m", "3",
+                             "--depth", "3", "--format", "svg")
+    assert (code, err) == (0, "")
+    assert out.count("<ellipse") == 1
+
+
+@pytest.mark.parametrize("exponent", [20, 300, 309])
+def test_svg_draws_the_quadric_at_any_n(exponent):
+    # the quadric entries pass 2^53 from n = 10^16 and the largest float
+    # from n = 10^309; test_cli_chambers_past_the_int_str_limit draws 10^1500
+    from coxmov import svgplot
+    sys_ = build_system(10 ** exponent, 3)
+    ellipse = svgplot.conic_ellipse(sys_)
+    assert ellipse is not None and 'rx="133.333333333"' in ellipse
 
 
 def test_cli_boundary(capsys):
@@ -739,41 +775,16 @@ def test_cli_verify_all_with_n_m_bytes(capsys):
 
 def test_cli_viewport_and_palette(capsys):
     code, out, _ = run_cli(capsys, "chambers", "--n", "2", "--m", "3",
-                           "--depth", "2", "--format", "svg",
-                           "--viewport", "0,0,450,400")
+                           "--depth", "2", "--format", "svg")
     assert code == 0
-    assert 'viewBox="0 0 450 400"' in out
-    # the one palette is fixed, so the flag is gone
-    with pytest.raises(SystemExit) as exc:
-        run_cli(capsys, "chambers", "--n", "2", "--m", "3", "--format", "svg",
-                "--palette", "default")
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --palette" in capsys.readouterr().err
-    for bad in ("1,2,3", "a,b,c,d", "0,0,0,0", "0,0,nan,5", "0,0,-1,5",
-                "0,inf,450,400", "0,0,450,400,1"):
-        code, out, err = run_cli(capsys, "chambers", "--n", "2", "--m", "3",
-                                 "--format", "svg", "--viewport", bad)
-        assert code == 2, bad
-        assert out == ""
-        assert "viewport" in error_payload(err)["message"]
-
-
-@pytest.mark.parametrize("viewport", [
-    "0,0,1e-200,1e-200",        # width*height underflows: the chart is singular
-    "1e308,1e308,1e308,1e308",  # width*height and the corners overflow
-    "1e308,1e308,1,1",          # the corners coincide at this offset
-    "1.5e308,0,1e300,1",        # far rays leave the floats
-])
-def test_cli_viewport_overflowing_the_chart(tmp_path, capsys, viewport):
-    target = tmp_path / "x.svg"
-    for out in ((), ("--out", str(target))):
-        code, stdout, err = run_cli(capsys, "chambers", "--n", "2", "--m", "3",
-                                    "--depth", "3", "--format", "svg",
-                                    "--viewport", viewport, *out)
-        assert (code, stdout) == (2, "")
-        assert error_payload(err)["message"].startswith(
-            "viewport overflows the chart")
-        assert not target.exists()
+    assert 'viewBox="0 0 900 800"' in out
+    # the canvas and the palette are fixed, so both flags are gone
+    for flag, value in (("--viewport", "0,0,450,400"), ("--palette", "default")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, "chambers", "--n", "2", "--m", "3", "--format",
+                    "svg", flag, value)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_budget_env_var(capsys, monkeypatch):
@@ -844,9 +855,6 @@ GOLDEN = [
      '', 0),
     ('chambers --n 2 --m 3 --depth 3 --format svg --labels', None,
      '994863ab5098807c17862dd4cb817c6423d00523f9bf98dc2424b51b985d3a5d',
-     '', 0),
-    ('chambers --n 2 --m 3 --depth 3 --format svg --viewport 0,0,450,400', None,
-     '0c3a7312de0a7476926adf55500480b54d9f6d26908a8e96c611577ae48d9487',
      '', 0),
     ('chambers --n 2 --m 4 --depth 2 --format svg', None,
      EMPTY,
@@ -924,18 +932,31 @@ GOLDEN = [
      EMPTY,
      ('{"error": {"code": 2, "message": "malformed class string: In'
       'valid literal for Fraction: \'zebra\'"}}\n'), 2),
-    ('chambers --n 2 --m 3 --format svg --viewport 0,0,0,0', None,
-     EMPTY,
-     ('{"error": {"code": 2, "message": "viewport needs four comma-'
-      'separated finite numbers x,y,width,height, width and height '
-      '> 0"}}\n'), 2),
     ('verify --suite symmetric', None,
      '348d20da011d9d595810a043f7b636a9ab0546c27928042b28bede40c7082d17',
+     '', 0),
+    ('verify --suite identities', None,
+     '6d4aa78547ed73a4d8bc5a3cb13a6e7c9401ba19675c9d863e692adc5b464ad7',
+     '', 0),
+    ('verify --suite boundary --n 2 --m 3', None,
+     '19c8726072a7e73120eb11a3a51672c5e64233cb096a93c24a3ea47001808c83',
      '', 0),
     ('chambers --n 2 --m 3 --depth 4', '10',
      EMPTY,
      ('{"error": {"code": 2, "message": "46 words at depth 4 exceed'
       ' the budget 10"}}\n'), 2),
+    ('chambers --n 2 --m 3 --depth 5', 'abc',
+     EMPTY,
+     ('{"error": {"code": 2, "message": "COXMOV_WORD_BUDGET must be an'
+      ' integer: \'abc\'"}}\n'), 2),
+    ('boundary --n 2 --m 3 --depth 3', '0',
+     EMPTY,
+     '{"error": {"code": 2, "message": "COXMOV_WORD_BUDGET must be positive"}}\n',
+     2),
+    ('symmetric --layer movable --depth 2', '-3',
+     EMPTY,
+     '{"error": {"code": 2, "message": "COXMOV_WORD_BUDGET must be positive"}}\n',
+     2),
 ]
 
 
