@@ -163,7 +163,7 @@ def cmd_boundary(args) -> int:
             "systems accumulate differently and are not described here")
     patches = boundary_patches(sys_, args.depth)
     _emit(args, lambda: jsonio.boundary_document(sys_, args.depth, patches),
-          lambda plot, labels: plot.render_boundary(sys_, patches, labels))
+          lambda plot, labels: plot.render_boundary(sys_, patches))
     return EXIT_OK
 
 

@@ -45,11 +45,8 @@ def int_str(n: int) -> str:
 def frac_to_str(x) -> str:
     """``str(Fraction(x))`` at any length."""
     x = Fraction(x)
-    try:
-        return str(x)
-    except ValueError:  # past the int-to-str digit limit
-        text = int_str(x.numerator)
-        return text if x.denominator == 1 else f"{text}/{int_str(x.denominator)}"
+    text = int_str(x.numerator)
+    return text if x.denominator == 1 else f"{text}/{int_str(x.denominator)}"
 
 
 def str_to_frac(s: str) -> Fraction:
@@ -212,7 +209,7 @@ def _write_json(obj, out: list, level: int):
         try:
             out.append(int.__repr__(obj))
         except ValueError:  # past the int-to-str digit limit
-            out.append(int_str(obj))
+            out.append(str(Decimal(obj)))
     elif obj is None or kind is bool:
         out.append(_CONSTANTS[obj])
     elif kind is dict or kind is list or kind is tuple:

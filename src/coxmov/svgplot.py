@@ -199,10 +199,10 @@ def render_chambers(sys: CoxeterSystem, chambers, labels: bool = False) -> str:
     return _tiling(sys, labels, [(len(ch.word), ch.rays) for ch in chambers])
 
 
-def render_boundary(sys: CoxeterSystem, patches, labels: bool = False) -> str:
+def render_boundary(sys: CoxeterSystem, patches) -> str:
     """Boundary sampling: fundamental region outline, quadric, and the
     patch cones (apex-to-ray segments, or single rays when the apex is
-    zero).  There are no labels to draw, so ``labels`` changes nothing."""
+    zero).  The picture has no labels."""
     _require_chart(sys)
     under, over = [], []
     for ch in fundamental_domain(sys):
