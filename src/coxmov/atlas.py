@@ -24,11 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from operator import mul
 
-from .bir import (GroupElementNF, PsiWord, _peel, _require_infinite_order,
-                  eigen_pair, reduced_walk, t_normal_form)
+from .bir import (GroupElementNF, PsiWord, _eigen_vectors, _peel,
+                  _require_infinite_order, reduced_walk, t_normal_form)
 from .coxeter import CoxeterSystem, Permutation
 from .exact import QuadExt
 from .linalg import Matrix, _primitive_pair, dot
@@ -43,27 +44,30 @@ def word_matrix(sys: CoxeterSystem, letters) -> Matrix:
     return out
 
 
-def _t_columns(sys: CoxeterSystem, depth: int, budget: int | None = None):
+def _t_step(n: int, cols, k: int):
+    """The columns of W * t_k from those of W (see the module docstring)."""
+    rowsums = map(sum, zip(*cols))
+    new = tuple(n * (s - c) - c for s, c in zip(rowsums, cols[k - 1]))
+    return cols[:k - 1] + (new,) + cols[k:]
+
+
+def _identity_columns(m: int):
+    return tuple(tuple(int(r == c) for r in range(m)) for c in range(m))
+
+
+def _t_columns(sys: CoxeterSystem, depth: int):
     """``(letters, cols)`` for each reduced t-word of length <= depth, in
-    ``reduced_walk`` order: the m integer columns of the word matrix, where
-    appending t_k sets col_k to n*(rowsum - col_k) - col_k."""
-    n, m = sys.n, sys.m
-
-    def step(cols, k):
-        rowsums = map(sum, zip(*cols))
-        new = tuple(n * (s - c) - c for s, c in zip(rowsums, cols[k - 1]))
-        return cols[:k - 1] + (new,) + cols[k:]
-
-    letters = range(1, m + 1)
-    identity = tuple(tuple(int(r == c) for r in range(m)) for c in range(m))
-    return reduced_walk(letters, {k: k for k in letters}, step, identity,
-                        depth, budget)
+    ``reduced_walk`` order: the word matrix's columns, one ``_t_step`` each."""
+    letters = range(1, sys.m + 1)
+    return reduced_walk(letters, {k: k for k in letters},
+                        partial(_t_step, sys.n), _identity_columns(sys.m),
+                        depth)
 
 
-def reduced_words(sys: CoxeterSystem, depth: int, budget: int | None = None):
+def reduced_words(sys: CoxeterSystem, depth: int):
     """All freely reduced t-words of length <= depth with their matrices,
     in breadth-first order (by length, then lexicographically)."""
-    for letters, cols in _t_columns(sys, depth, budget):
+    for letters, cols in _t_columns(sys, depth):
         yield letters, Matrix.from_columns(cols)
 
 
@@ -86,17 +90,17 @@ class Chamber:
 
 def fundamental_domain(sys: CoxeterSystem) -> list[Chamber]:
     """The m+1 chambers whose union is one fundamental region: the nef
-    cone (model 0) and its m flop images t_i . Nef (model i)."""
-    return [Chamber(cols, letters, letters[0] if letters else 0)
-            for letters, cols in _t_columns(sys, 1, sys.m + 1)]
+    cone (model 0) and its m flop images t_i . Nef (model i), one
+    ``_t_step`` each, so no walk and no word budget."""
+    nef = _identity_columns(sys.m)
+    return [Chamber(nef, (), 0)] + [Chamber(_t_step(sys.n, nef, k), (k,), k)
+                                    for k in range(1, sys.m + 1)]
 
 
-def enumerate_chambers(sys: CoxeterSystem, depth: int,
-                       budget: int | None = None) -> list[Chamber]:
+def enumerate_chambers(sys: CoxeterSystem, depth: int) -> list[Chamber]:
     """One chamber per freely reduced t-word of length <= depth."""
     _require_infinite_order(sys)
-    return [Chamber(cols, letters)
-            for letters, cols in _t_columns(sys, depth, budget)]
+    return [Chamber(cols, letters) for letters, cols in _t_columns(sys, depth)]
 
 
 class ClassificationError(Exception):
@@ -202,8 +206,7 @@ class BoundaryPatch:
         return any(bool(x) for x in self.apex)
 
 
-def boundary_patches(sys: CoxeterSystem, depth: int,
-                     budget: int | None = None) -> list[BoundaryPatch]:
+def boundary_patches(sys: CoxeterSystem, depth: int) -> list[BoundaryPatch]:
     """Boundary cones of the movable cone, sampled to word length ``depth``.
 
     For every reduced t-word w and unordered generator pair (i, j): the
@@ -222,22 +225,19 @@ def boundary_patches(sys: CoxeterSystem, depth: int,
     _require_infinite_order(sys)
     n, m = sys.n, sys.m
     pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
-    vectors, d = {}, 0      # v = P + Q*sqrt(d) as the integer lists (P, Q)
-    for pair in pairs if n > 2 else ():
-        v = eigen_pair(sys, *pair).vector
-        vectors[pair] = [int(x.a) for x in v], [int(x.b) for x in v]
-        d = max(x.d for x in v)
+    _, d, vectors = (_eigen_vectors(n, m, pairs) if n > 2  # v = P + Q*sqrt(d)
+                     else (0, 0, [()] * len(pairs)))        # v = 0
     zero_apex = tuple(QuadExt(0) for _ in range(m))
     out: list[BoundaryPatch] = []
-    for letters, cols in _t_columns(sys, depth, budget):
+    for letters, cols in _t_columns(sys, depth):
         rows = tuple(zip(*cols))
-        for (i, j) in pairs:
+        for (i, j), v in zip(pairs, vectors):
             if n == 2 and letters and letters[-1] in (i, j):
                 continue
             base = tuple(sorted(cols[k - 1]
                                 for k in range(1, m + 1) if k not in (i, j)))
             apex = zero_apex if n == 2 else _primitive_pair(*[
-                [sum(map(mul, r, u)) for r in rows] for u in vectors[(i, j)]], d)
+                [sum(map(mul, r, u)) for r in rows] for u in v], d)
             out.append(BoundaryPatch((i, j), letters, apex, base))
     return out
 

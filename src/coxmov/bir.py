@@ -48,8 +48,7 @@ def word_budget() -> int:
     return val
 
 
-def reduced_walk(alphabet, inverse, step, start, depth: int,
-                 budget: int | None = None):
+def reduced_walk(alphabet, inverse, step, start, depth: int):
     """Breadth-first walk over the reduced words of length <= depth.
 
     A word is reduced when no letter is followed by ``inverse[letter]``.
@@ -57,12 +56,12 @@ def reduced_walk(alphabet, inverse, step, start, depth: int,
     the empty word first; a word's state is ``step(parent_state, letter)``,
     so each word costs one step.  Only the current frontier is kept.
     Raises ``BudgetError`` before the first word when the word count
-    1 + A * sum_{k<depth} (A-1)^k exceeds the budget.
+    1 + A * sum_{k<depth} (A-1)^k exceeds ``word_budget()``.
     """
     if depth < 0:
         raise ValueError("negative depth")
     size = len(alphabet)
-    cap = word_budget() if budget is None else budget
+    cap = word_budget()
     count, level = 1, size
     for _ in range(depth):
         count += level
@@ -351,8 +350,7 @@ class FreeReport:
     collisions: int
 
 
-def verify_free(sys: CoxeterSystem, depth: int,
-                budget: int | None = None) -> FreeReport:
+def verify_free(sys: CoxeterSystem, depth: int) -> FreeReport:
     """Enumerate all freely reduced psi-words of length <= depth and check
     pairwise distinctness of their normal forms.
 
@@ -368,7 +366,7 @@ def verify_free(sys: CoxeterSystem, depth: int,
     seen = set()
     collisions = 0
     for _, nf in reduced_walk(gens, inverse, lambda nf, g: nf * nf_gens[g],
-                              GroupElementNF.identity(m), depth, budget):
+                              GroupElementNF.identity(m), depth):
         key = (nf.letters, nf.perm.images)
         if key in seen:
             collisions += 1
@@ -395,17 +393,32 @@ class EigenPair:
     vector: tuple[QuadExt, ...]
 
 
-def eigen_pair(sys: CoxeterSystem, i: int, j: int):
-    """Spectral data of t_i * t_j.
+def _eigen_vectors(n: int, m: int, pairs):
+    """``(s, d, vectors)`` for n >= 3, the radicand factored once: s*s*d =
+    (n-2)(n+2), d > 1 squarefree, and per pair (i, j) integer lists (P, Q)
+    with P + Q*sqrt(d) an eigenvector of t_i * t_j for lambda > 1: t_i * t_j
+    maps c_i, c_j (c_k = n*ones - (n+2)*e_k) by [[n^2-1, -n], [n, -1]], so
+    (lambda+1)*c_i + n*c_j is n/2 times p + q*sqrt(d), p = n*c_i + 2*c_j,
+    q = s*c_i, and (P, Q) is that times the conjugate of its last entry."""
+    (s1, d1), (s2, d2) = map(squarefree_decompose, (n - 2, n + 2))
+    g = gcd(d1, d2)     # 1 or 2: n-2 and n+2 differ by 4
+    s, d = s1 * s2 * g, d1 * d2 // (g * g)
+    vectors = []
+    for i, j in pairs:
+        ci, cj = ([n - (n + 2) * (r == k) for r in range(1, m + 1)]
+                  for k in (i, j))
+        pq = [(n * x + 2 * y, s * x) for x, y in zip(ci, cj)]
+        pm, qm = pq[-1]
+        vectors.append(([p * pm - q * qm * d for p, q in pq],
+                        [q * pm - p * qm for p, q in pq]))
+    return s, d, vectors
 
-    For n >= 3 returns the EigenPair for the root lambda > 1 of
-    x^2 - (n^2 - 2)x + 1; for n = 2 and n = 1 returns the matching
-    PairClass marker (unipotent, finite order).  t_i * t_j maps c_i, c_j
-    (c_k = n*ones - (n+2)*e_k) by [[n^2-1, -n], [n, -1]]; with s*s*d =
-    (n-2)(n+2), d > 1 squarefree, the vector (lambda+1)*c_i + n*c_j is n/2
-    times the integer pair P + Q*sqrt(d), P = n*c_i + 2*c_j, Q = s*c_i; it
-    is returned times the conjugate of its last coordinate, made primitive.
-    """
+
+def eigen_pair(sys: CoxeterSystem, i: int, j: int):
+    """Spectral data of t_i * t_j: for n >= 3 the EigenPair of the root
+    lambda = (n^2 - 2 + n*s*sqrt(d))/2 > 1 of x^2 - (n^2 - 2)x + 1 and the
+    primitive form of its ``_eigen_vectors`` vector; for n = 2 and n = 1
+    the matching PairClass marker (unipotent, finite order)."""
     if i == j:
         raise ValueError("need two distinct indices")
     n, m = sys.n, sys.m
@@ -415,16 +428,9 @@ def eigen_pair(sys: CoxeterSystem, i: int, j: int):
         return PairClass.FINITE_ORDER
     if n == 2:
         return PairClass.UNIPOTENT
-    # the squarefree parts of n-2 and n+2 share at most the prime 2
-    (s1, d1), (s2, d2) = map(squarefree_decompose, (n - 2, n + 2))
-    g = gcd(d1, d2)
-    s, d = s1 * s2 * g, d1 * d2 // (g * g)
+    s, d, [(p, q)] = _eigen_vectors(n, m, [(i, j)])
     lam = QuadExt._reduced(Fraction(n * n - 2, 2), Fraction(n * s, 2), d)
-    ci, cj = ([n - (n + 2) * (r == k) for r in range(1, m + 1)] for k in (i, j))
-    pq = [(n * x + 2 * y, s * x) for x, y in zip(ci, cj)]
-    pm, qm = pq[-1]
-    return EigenPair(lam, _primitive_pair([p * pm - q * qm * d for p, q in pq],
-                                          [q * pm - p * qm for p, q in pq], d))
+    return EigenPair(lam, _primitive_pair(p, q, d))
 
 
 def aut_codimension(n: int, m: int) -> int:

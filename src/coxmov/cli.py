@@ -13,9 +13,9 @@ drawn on a fixed 900x800 viewBox.
 An --out file is checked for writability before any computation; a file
 the run created is removed again when the run fails or writes nothing,
 and an existing one keeps its bytes unless the output is written whole.
-The only environment knob is COXMOV_WORD_BUDGET, the global cap on
-enumerated words (default 10^6) for chambers, boundary, symmetric and the
-freeness check.
+--labels exists only on chambers and symmetric, whose pictures have labels.
+The only environment knob is COXMOV_WORD_BUDGET (default 10^6), the one cap
+on enumerated words, for the CLI and the library alike.
 """
 
 from __future__ import annotations
@@ -110,13 +110,12 @@ def _write(text: str, out: str | None):
 
 
 def _emit(args, document, render):
-    """Write ``document()`` as JSON, or with --format svg the picture
-    ``render(svgplot, labels)``."""
+    """Write ``document()`` as JSON, or with --format svg ``render(svgplot)``."""
     if args.format == "json":
         text = jsonio.dumps(document())
     else:
         from . import svgplot
-        text = render(svgplot, args.labels)
+        text = render(svgplot)
     _write(text, args.out)
 
 
@@ -130,7 +129,7 @@ def cmd_chambers(args) -> int:
     sys_ = build_system(args.n, args.m, enforce_dimension_bound=True)
     chambers = enumerate_chambers(sys_, args.depth)
     _emit(args, lambda: jsonio.chambers_document(sys_, args.depth, chambers),
-          lambda plot, labels: plot.render_chambers(sys_, chambers, labels))
+          lambda plot: plot.render_chambers(sys_, chambers, args.labels))
     return EXIT_OK
 
 
@@ -163,7 +162,7 @@ def cmd_boundary(args) -> int:
             "systems accumulate differently and are not described here")
     patches = boundary_patches(sys_, args.depth)
     _emit(args, lambda: jsonio.boundary_document(sys_, args.depth, patches),
-          lambda plot, labels: plot.render_boundary(sys_, patches))
+          lambda plot: plot.render_boundary(sys_, patches))
     return EXIT_OK
 
 
@@ -176,7 +175,7 @@ def cmd_symmetric(args) -> int:
         items = symmetric.psef_patches(args.depth)
         picture = "render_symmetric_psef"
     _emit(args, lambda: jsonio.symmetric_document(args.depth, args.layer, items),
-          lambda plot, labels: getattr(plot, picture)(items, labels))
+          lambda plot: getattr(plot, picture)(items, args.labels))
     return EXIT_OK
 
 
@@ -211,8 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_render(p):
         p.add_argument("--format", choices=("json", "svg"), default="json")
-        p.add_argument("--labels", action="store_true",
-                       help="draw ray labels in svg output")
 
     p = sub.add_parser("system", help="Gram matrix, generators, quadric")
     add_nm(p)
@@ -223,6 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_nm(p)
     add_common(p, depth_default=4)
     add_render(p)
+    p.add_argument("--labels", action="store_true",
+                   help="name the rays H1-H3 in svg output")
     p.set_defaults(func=cmd_chambers)
 
     p = sub.add_parser("classify", help="locate a divisor class in the tiling")
@@ -243,6 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layer", choices=("movable", "psef"), default="movable")
     add_common(p, depth_default=4)
     add_render(p)
+    p.add_argument("--labels", action="store_true",
+                   help="name H1-H3 (movable) or D1, D2 (psef) in svg output")
     p.set_defaults(func=cmd_symmetric)
 
     p = sub.add_parser("verify", help="run the exact property suites")

@@ -84,13 +84,10 @@ def text(p, s, fill) -> str:
             f'font-size="18" font-family="sans-serif">{s}</text>')
 
 
-def conic_ellipse(sys: CoxeterSystem) -> str | None:
-    """The invariant quadric as a canvas ellipse.
-
-    The quadric meets the chart plane in an ellipse whenever the system is
-    Lorentzian (the chart section of a round cone); degenerate systems
-    return None and no conic is drawn.
-    """
+def conic_ellipse(sys: CoxeterSystem) -> str:
+    """The invariant quadric as a canvas ellipse: every system drawn here has
+    m = 3 and n >= 2, so it is Lorentzian and the quadric meets the chart
+    plane in an ellipse (the chart section of a round cone)."""
     rows = sys.quadric_matrix().rows  # integral entries
     # any positive multiple of the quadric has the same conic: scale the
     # entries to at most 53 bits, so that each float is finite at any n
@@ -121,16 +118,12 @@ def conic_ellipse(sys: CoxeterSystem) -> str | None:
 
     a, b, c = kc[0][0], kc[0][1], kc[1][1]
     d2 = a * c - b * b
-    if d2 <= 0:
-        return None
     cx = (b * kc[1][2] - c * kc[0][2]) / d2
     cy = (b * kc[0][2] - a * kc[1][2]) / d2
     f0 = kc[0][2] * cx + kc[1][2] * cy + kc[2][2]
     half_tr = (a + c) / 2.0
     diff = math.hypot((a - c) / 2.0, b)
     lam1, lam2 = half_tr + diff, half_tr - diff
-    if lam1 == 0 or lam2 == 0 or (-f0 / lam1) <= 0 or (-f0 / lam2) <= 0:
-        return None
     r1, r2 = math.sqrt(-f0 / lam1), math.sqrt(-f0 / lam2)
     angle = 0.5 * math.degrees(math.atan2(2.0 * b, a - c))
     color = COLORS["conic"]
@@ -141,16 +134,15 @@ def conic_ellipse(sys: CoxeterSystem) -> str | None:
 
 
 def _document(sys: CoxeterSystem, under: list[str], over: list[str]) -> str:
-    """The SVG document: background, the ``under`` elements, the quadric
-    (when the chart section is an ellipse), then the ``over`` elements."""
-    conic = conic_ellipse(sys)
+    """The SVG document: background, the ``under`` elements, the quadric,
+    then the ``over`` elements."""
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
          f'viewBox="0 0 {fnum(WIDTH)} {fnum(HEIGHT)}">'),
         (f'<rect x="0" y="0" width="{fnum(WIDTH)}" height="{fnum(HEIGHT)}" '
          f'fill="{COLORS["background"]}"/>'),
-        *under, *([conic] if conic else []), *over, "</svg>",
+        *under, conic_ellipse(sys), *over, "</svg>",
     ]
     return "\n".join(lines) + "\n"
 

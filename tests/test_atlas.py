@@ -46,15 +46,24 @@ def test_enumerate_chambers_counts():
     assert words[4] == (1, 2)
 
 
-def test_enumerate_chambers_guards():
+def test_enumerate_chambers_guards(monkeypatch):
     with pytest.raises(ValueError):
         enumerate_chambers(build_system(1, 5), 2)
+    monkeypatch.setenv("COXMOV_WORD_BUDGET", "100")
     with pytest.raises(BudgetError):
-        enumerate_chambers(S23, 30, budget=100)
+        enumerate_chambers(S23, 30)
     # m = 3, depth 4: 1 + 3 + 6 + 12 + 24 words
-    assert len(enumerate_chambers(S23, 4, budget=46)) == 46
+    monkeypatch.setenv("COXMOV_WORD_BUDGET", "46")
+    assert len(enumerate_chambers(S23, 4)) == 46
+    monkeypatch.setenv("COXMOV_WORD_BUDGET", "45")
     with pytest.raises(BudgetError, match="^46 words at depth 4"):
-        enumerate_chambers(S23, 4, budget=45)
+        enumerate_chambers(S23, 4)
+
+
+def test_word_budget_has_no_per_call_override():
+    # COXMOV_WORD_BUDGET is the one word budget
+    with pytest.raises(TypeError):
+        enumerate_chambers(S23, 2, budget=5)
 
 
 def test_classify_interior_of_nef():
@@ -212,6 +221,23 @@ def test_boundary_factors_radicand_once_per_pair(monkeypatch):
         boundary_patches(build_system(6, 3), depth)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_boundary_factors_radicand_once_per_request(monkeypatch):
+    # n-2 and n+2 once for all C(5, 2) = 10 pairs, not twice per pair
+    import coxmov
+    calls = []
+    original = coxmov.exact.squarefree_decompose
+
+    def counting(k):
+        calls.append(k)
+        return original(k)
+
+    for mod in vars(coxmov).values():
+        if getattr(mod, "squarefree_decompose", None) is original:
+            monkeypatch.setattr(mod, "squarefree_decompose", counting)
+    boundary_patches(build_system(4, 5), 1)
+    assert calls == [2, 6]
 
 
 def test_boundary_apexes_isotropic_at_depth():

@@ -438,7 +438,7 @@ def test_prefix_check_property():
             assert prefix_check(s, PsiWord(letters))
 
 
-def test_verify_free_counts():
+def test_verify_free_counts(monkeypatch):
     rep = verify_free(S23, 1)
     assert rep == type(rep)(6, 0)
     rep = verify_free(S23, 4)
@@ -446,12 +446,15 @@ def test_verify_free_counts():
     assert rep.collisions == 0
     rep34 = verify_free(build_system(3, 4), 3)
     assert rep34.collisions == 0
+    monkeypatch.setenv("COXMOV_WORD_BUDGET", "1000")
     with pytest.raises(BudgetError):
-        verify_free(S23, 12, budget=1000)
+        verify_free(S23, 12)
     # the budget counts the empty word: 1 + 6 + 30 words at depth 2
-    assert verify_free(S23, 2, budget=37).words_checked == 36
+    monkeypatch.setenv("COXMOV_WORD_BUDGET", "37")
+    assert verify_free(S23, 2).words_checked == 36
+    monkeypatch.setenv("COXMOV_WORD_BUDGET", "36")
     with pytest.raises(BudgetError, match="^37 words at depth 2"):
-        verify_free(S23, 2, budget=36)
+        verify_free(S23, 2)
 
 
 def test_free_product_by_matrices():

@@ -257,8 +257,7 @@ MATRIX_FREE_RUNS = [
     ("boundary", "--n", "3", "--m", "3", "--depth", "2", "--format", "svg"),
     ("boundary", "--n", "5", "--m", "3", "--depth", "2"),
     ("boundary", "--n", "10", "--m", "5", "--depth", "1"),
-    ("boundary", "--n", "5", "--m", "3", "--depth", "2", "--format", "svg",
-     "--labels"),
+    ("boundary", "--n", "5", "--m", "3", "--depth", "2", "--format", "svg"),
 ]
 # the symmetric walk (3x3 Matrix products) and sym_enumerate's rescale of
 # each ray image (primitive_int_vector) are the only generic-arithmetic
@@ -486,6 +485,14 @@ def test_svg_draws_the_quadric_at_any_n(exponent):
     sys_ = build_system(10 ** exponent, 3)
     ellipse = svgplot.conic_ellipse(sys_)
     assert ellipse is not None and 'rx="133.333333333"' in ellipse
+
+
+@pytest.mark.parametrize("n", [2, 3, 10 ** 6, 10 ** 300])
+def test_conic_is_one_ellipse(n):
+    # every system a picture is drawn for (m = 3, n >= 2) is Lorentzian
+    from coxmov import svgplot
+    ellipse = svgplot.conic_ellipse(build_system(n, 3))
+    assert ellipse.startswith("<ellipse ") and ellipse.count("<") == 1
 
 
 def test_cli_boundary(capsys):
@@ -877,6 +884,10 @@ GOLDEN = [
     ('boundary --n 5 --m 3 --depth 2 --format svg', None,
      '4bbdf6b39a5bee5ca1fdba494c1527f551e7ab9392ce64526e0d7f9be8ec6ef2',
      '', 0),
+    ('boundary --n 3 --m 3 --depth 2 --format svg --labels', None,
+     EMPTY,
+     ('usage: coxmov [-h] {system,chambers,classify,boundary,symmetric,verify}'
+      ' ...\ncoxmov: error: unrecognized arguments: --labels\n'), 2),
     ('boundary --n 1 --m 5 --depth 0', None,
      EMPTY,
      ('{"error": {"code": 2, "message": "the boundary sampling is d'
@@ -966,6 +977,9 @@ def test_cli_golden_digests(capsys, monkeypatch, argv, budget, digest, err,
                             code):
     if budget is not None:
         monkeypatch.setenv("COXMOV_WORD_BUDGET", budget)
-    got_code, out, got_err = run_cli(capsys, *argv.split())
+    try:
+        got_code, out, got_err = run_cli(capsys, *argv.split())
+    except SystemExit as exc:   # argparse refused the command line
+        got_code, (out, got_err) = exc.code, capsys.readouterr()
     assert (hashlib.sha256(out.encode()).hexdigest(), got_err, got_code) == \
         (digest, err, code)
