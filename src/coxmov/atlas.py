@@ -74,12 +74,11 @@ def reduced_words(sys: CoxeterSystem, depth: int):
 @dataclass(frozen=True)
 class Chamber:
     """A translate of the nef cone: m primitive integer rays plus the
-    reduced t-word that produces it.  ``model`` marks the fundamental-
-    region chambers (0 for the nef cone itself, i for its flop images)."""
+    reduced t-word that produces it.  For a fundamental-region chamber the
+    marked minimal model is the word's letter (0 for the empty word)."""
 
     rays: tuple[tuple[int, ...], ...]
     word: tuple[int, ...]
-    model: int | None = None
 
     def ray_key(self):
         return tuple(sorted(self.rays))
@@ -90,11 +89,11 @@ class Chamber:
 
 def fundamental_domain(sys: CoxeterSystem) -> list[Chamber]:
     """The m+1 chambers whose union is one fundamental region: the nef
-    cone (model 0) and its m flop images t_i . Nef (model i), one
-    ``_t_step`` each, so no walk and no word budget."""
+    cone (word (), model 0) and its m flop images t_i . Nef (word (i,),
+    model i), one ``_t_step`` each, so no walk and no word budget."""
     nef = _identity_columns(sys.m)
-    return [Chamber(nef, (), 0)] + [Chamber(_t_step(sys.n, nef, k), (k,), k)
-                                    for k in range(1, sys.m + 1)]
+    return [Chamber(nef, ())] + [Chamber(_t_step(sys.n, nef, k), (k,))
+                                 for k in range(1, sys.m + 1)]
 
 
 def enumerate_chambers(sys: CoxeterSystem, depth: int) -> list[Chamber]:

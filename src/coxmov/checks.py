@@ -162,29 +162,27 @@ def suite_free(n=2, m=3) -> dict:
         report.collisions == 0)]
 
     rng = random.Random(20240 + 10 * n + m)
-    pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    alphabet = [(i, j, e) for i in range(1, m + 1)
+                for j in range(i + 1, m + 1) for e in (1, -1)]
+    inverse = {(i, j, e): (i, j, -e) for i, j, e in alphabet}
     ok = True
     for _ in range(300):
-        letters = _random_reduced_psi(rng, pairs, rng.randint(1, 6))
-        ok = ok and prefix_check(s, PsiWord(letters))
+        word = _random_reduced(rng, alphabet, inverse, rng.randint(1, 6))
+        ok = ok and prefix_check(s, PsiWord(word))
     checks.append(_check(
         "prefix", "normal form of a reduced psi-word starts t_{i_1} t_{j_1}",
         {"n": n, "m": m, "samples": 300}, ok))
     return _suite_report("free", checks)
 
 
-def _random_reduced_psi(rng, pairs, length):
-    letters = []
-    prev = None
+def _random_reduced(rng, alphabet, inverse, length):
+    """A uniform random word of ``length`` letters in which no letter is
+    followed by ``inverse[letter]``, the convention of ``reduced_walk``."""
+    word = []
     for _ in range(length):
-        while True:
-            pair = rng.choice(pairs)
-            step = rng.choice((1, -1))
-            if prev != (pair[0], pair[1], -step):
-                break
-        letters.append((pair[0], pair[1], step))
-        prev = letters[-1]
-    return letters
+        banned = inverse[word[-1]] if word else None
+        word.append(rng.choice([x for x in alphabet if x != banned]))
+    return tuple(word)
 
 
 def suite_tiling(n=2, m=3) -> dict:
@@ -219,9 +217,11 @@ def suite_tiling(n=2, m=3) -> dict:
         {"n": n, "m": m, "depth": TILING_DEPTH}, len(keys) == len(chambers)))
 
     rng = random.Random(777 + 10 * n + m)
+    alphabet = range(1, m + 1)
+    inverse = {k: k for k in alphabet}
     ok = True
     for _ in range(100):
-        word = _random_reduced_t(rng, m, rng.randint(0, 6))
+        word = _random_reduced(rng, alphabet, inverse, rng.randint(0, 6))
         coords = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 4))
                        for _ in range(m))
         moved = word_matrix(s, word) * coords
@@ -232,14 +232,6 @@ def suite_tiling(n=2, m=3) -> dict:
         "roundtrip", "classify(w * c) reconstructs w and c exactly",
         {"n": n, "m": m, "samples": 100}, ok))
     return _suite_report("tiling", checks)
-
-
-def _random_reduced_t(rng, m, length):
-    word = []
-    for _ in range(length):
-        choices = [k for k in range(1, m + 1) if not word or k != word[-1]]
-        word.append(rng.choice(choices))
-    return tuple(word)
 
 
 def suite_boundary(n=3, m=3) -> dict:

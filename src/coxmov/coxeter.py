@@ -3,10 +3,11 @@
 For parameters (n, m) -- n the dimension of each projective-space factor,
 m the number of factors / the Picard rank -- the group is generated by m
 involutions whose Gram matrix has unit diagonal and constant off-diagonal
-entries -n/2.  This module builds the Gram matrix, the reflection matrices
-in both the primal and the dual basis, permutation matrices, the invariant
-integral quadric, and the Lorentzian signature data, the last two in closed
-form: G = (1 + n/2)*I - (n/2)*J (J all ones) has eigenvalues 1 + n/2 > 0 and
+entries -n/2, so the pair (n, m) is the whole system.  This module builds
+the Gram matrix, the reflection matrices in both the primal and the dual
+basis, permutation matrices, the invariant integral quadric, and the
+Lorentzian signature data, the last two in closed form:
+G = (1 + n/2)*I - (n/2)*J (J all ones) has eigenvalues 1 + n/2 > 0 and
 1 - n(m-1)/2, so it has signature (m-1, 1, 0) iff n(m-1) > 2, is singular iff
 n(m-1) = 2, and else has an inverse proportional to (2 - n(m-1))*I + n*J.
 
@@ -131,15 +132,20 @@ def dual_reflection_from_gram(gram: Matrix, i: int) -> Matrix:
 class CoxeterSystem:
     """The rank-m reflection group of the (n, m) family.
 
-    The Gram matrix has 1 on the diagonal and -n/2 off it; for n = 1 the
+    The pair n >= 1, m >= 2 (else ``ValueError``) fixes every datum.  The
+    Gram matrix has 1 on the diagonal and -n/2 off it; for n = 1 the
     products of two distinct generators have order 3, for n >= 2 infinite
     order (the group is then a free product of m copies of Z/2Z).
     """
 
-    def __init__(self, n: int, m: int, gram: Matrix):
+    def __init__(self, n: int, m: int):
+        if n < 1 or m < 2:
+            raise ValueError(f"need n >= 1 and m >= 2, got ({n}, {m})")
         self.n = n
         self.m = m
-        self.gram = gram
+        half = Fraction(n, 2)
+        self.gram = Matrix([[Fraction(1) if i == j else -half
+                             for j in range(m)] for i in range(m)])
         self.lorentzian = n * (m - 1) > 2
         self._dual_cache: dict[int, Matrix] = {}
         self._quadric: Matrix | None = None
@@ -201,18 +207,14 @@ class CoxeterSystem:
 
 
 def build_system(n: int, m: int, enforce_dimension_bound: bool = False) -> CoxeterSystem:
-    """Assemble the (n, m) system: Gram matrix plus Lorentzian flag.
+    """The system ``CoxeterSystem(n, m)``, which checks the range.
 
     With ``enforce_dimension_bound`` the parameters must also satisfy
     n*m - (n+1) >= 3, the threefold bound on the dimension of the
-    Calabi-Yau complete intersections the group acts for.
+    Calabi-Yau complete intersections the group acts for; the range error
+    comes first.
     """
-    if n < 1 or m < 2:
-        raise ValueError(f"need n >= 1 and m >= 2, got ({n}, {m})")
+    sys = CoxeterSystem(n, m)
     if enforce_dimension_bound and n * m - (n + 1) < 3:
-        raise ValueError(
-            f"parameters ({n}, {m}) violate n*m - (n+1) >= 3")
-    half = Fraction(n, 2)
-    gram = Matrix([[Fraction(1) if i == j else -half for j in range(m)]
-                   for i in range(m)])
-    return CoxeterSystem(n, m, gram)
+        raise ValueError(f"parameters ({n}, {m}) violate n*m - (n+1) >= 3")
+    return sys

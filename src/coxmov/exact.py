@@ -11,6 +11,7 @@ exists only for coordinate emission at the rendering layer.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import total_ordering
 from math import isqrt
 from typing import Union
 
@@ -55,6 +56,7 @@ def _sign(a, b, d: int) -> int:
     return sa if sa == sb or t > 0 else (sb if t < 0 else 0)
 
 
+@total_ordering
 class QuadExt:
     """An element a + b*sqrt(d) of the real quadratic field Q(sqrt(d)).
 
@@ -185,7 +187,7 @@ class QuadExt:
             k >>= 1
         return out
 
-    # -- exact ordering ------------------------------------------------
+    # -- exact ordering (<=, > and >= from __lt__ and __eq__) ----------
 
     def sign(self) -> int:
         """Exact sign of the real number a + b*sqrt(d)."""
@@ -205,24 +207,6 @@ class QuadExt:
         if o is None:
             return NotImplemented
         return (self - o).sign() < 0
-
-    def __le__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
 
     def __hash__(self):
         if self.b == 0:

@@ -88,15 +88,11 @@ def obj_to_psi_word(obj) -> PsiWord:
 
 
 def chamber_to_obj(ch: Chamber) -> dict:
-    out = {"word": list(ch.word), "rays": [list(r) for r in ch.rays]}
-    if ch.model is not None:
-        out["model"] = ch.model
-    return out
+    return {"word": list(ch.word), "rays": [list(r) for r in ch.rays]}
 
 
 def obj_to_chamber(obj) -> Chamber:
-    return Chamber(tuple(tuple(r) for r in obj["rays"]),
-                   tuple(obj["word"]), obj.get("model"))
+    return Chamber(tuple(tuple(r) for r in obj["rays"]), tuple(obj["word"]))
 
 
 def patch_to_obj(p: BoundaryPatch) -> dict:

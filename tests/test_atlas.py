@@ -23,14 +23,20 @@ def test_fundamental_domain(monkeypatch):
     chambers = fundamental_domain(S23)
     assert len(chambers) == 4
     assert chambers[0].rays == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert chambers[0].model == 0 and chambers[0].word == ()
-    assert chambers[2].model == 2 and chambers[2].word == (2,)
+    assert [c.word for c in chambers] == [(), (1,), (2,), (3,)]
     rays = {r for c in chambers for r in c.rays}
     assert rays == HEXAGON_23
 
     rays33 = {r for c in fundamental_domain(S33) for r in c.rays}
     assert rays33 == {(0, 0, 1), (-1, 3, 3), (0, 1, 0), (3, 3, -1),
                       (1, 0, 0), (3, -1, 3)}
+
+
+def test_fundamental_domain_is_depth_one():
+    for n in range(2, 6):
+        for m in range(2, 7):
+            sys = build_system(n, m)
+            assert fundamental_domain(sys) == enumerate_chambers(sys, 1)
 
 
 def test_enumerate_chambers_counts():

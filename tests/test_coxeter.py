@@ -216,3 +216,18 @@ def test_signature_lorentzian_grid():
 def test_repr():
     assert repr(build_system(2, 3)) == "CoxeterSystem(n=2, m=3)"
     assert isinstance(build_system(2, 3), CoxeterSystem)
+
+
+def test_system_is_fixed_by_n_and_m():
+    # the Gram matrix is built from (n, m), so it cannot disagree with them
+    with pytest.raises(TypeError):
+        CoxeterSystem(3, 3, build_system(2, 3).gram)
+    assert CoxeterSystem(3, 3).gram == build_system(3, 3).gram
+    message = "need n >= 1 and m >= 2, got (0, 3)"
+    for make in (CoxeterSystem, build_system):
+        with pytest.raises(ValueError) as info:
+            make(0, 3)
+        assert str(info.value) == message
+    # the range error comes before the dimension bound
+    with pytest.raises(ValueError, match=r"need n >= 1 and m >= 2, got \(2, 1\)"):
+        build_system(2, 1, enforce_dimension_bound=True)

@@ -50,6 +50,12 @@ def error_payload(err):
     return doc["error"]
 
 
+def test_schema_is_valid_for_its_draft():
+    assert SCHEMA["$schema"] == "http://json-schema.org/draft-07/schema#"
+    assert jsonschema.validators.validator_for(SCHEMA) is jsonschema.Draft7Validator
+    jsonschema.Draft7Validator.check_schema(SCHEMA)
+
+
 def test_error_document_schema_rejects_malformed():
     ERROR_DOCUMENT.validate({"error": {"code": 3, "message": "x", "steps": 4,
                                        "last_iterate": ["-1/2", "3"]}})

@@ -76,13 +76,13 @@ def test_preserved_subcones():
     # the swap fixes the nef cone and the model-3 flop cone as ray sets and
     # exchanges the model-1 and model-2 flop cones
     a, _ = sym_generators()
-    chambers = {c.model: set(c.rays) for c in fundamental_domain(base_system())}
-    image = {model: {tuple(int(x) for x in (a * r)) for r in rays}
-             for model, rays in chambers.items()}
-    assert image[0] == chambers[0]
-    assert image[3] == chambers[3]
-    assert image[1] == chambers[2]
-    assert image[2] == chambers[1]
+    chambers = {c.word: set(c.rays) for c in fundamental_domain(base_system())}
+    image = {word: {tuple(int(x) for x in (a * r)) for r in rays}
+             for word, rays in chambers.items()}
+    assert image[()] == chambers[()]
+    assert image[(3,)] == chambers[(3,)]
+    assert image[(1,)] == chambers[(2,)]
+    assert image[(2,)] == chambers[(1,)]
 
 
 def test_tangent_lines():
