@@ -22,11 +22,11 @@ and is skipped; for n >= 3 every item is kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import lcm
 from operator import mul
+from typing import NamedTuple
 
 from .bir import (GroupElementNF, PsiWord, _eigen_vectors, _peel,
                   _require_infinite_order, reduced_walk, t_normal_form)
@@ -71,8 +71,7 @@ def reduced_words(sys: CoxeterSystem, depth: int):
         yield letters, Matrix.from_columns(cols)
 
 
-@dataclass(frozen=True)
-class Chamber:
+class Chamber(NamedTuple):
     """A translate of the nef cone: m primitive integer rays plus the
     reduced t-word that produces it.  For a fundamental-region chamber the
     marked minimal model is the word's letter (0 for the empty word)."""
@@ -111,8 +110,7 @@ class ClassificationError(Exception):
         self.steps = steps
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     """Where a divisor class lives in the chamber structure.
 
     Reconstruction contract: with W the matrix of ``t_word``, the input
@@ -190,8 +188,7 @@ def classify(sys: CoxeterSystem, coords, max_steps: int = DEFAULT_MAX_STEPS) -> 
     return ClassificationResult(word, psi, head or 0, residual.perm, iterate)
 
 
-@dataclass(frozen=True)
-class BoundaryPatch:
+class BoundaryPatch(NamedTuple):
     """One translate of a boundary cone: an apex ray over the quadratic
     field (all-zero when n = 2) and the m-2 transported rational rays."""
 

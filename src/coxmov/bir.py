@@ -18,10 +18,10 @@ for any n.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .coxeter import CoxeterSystem, Permutation, perm_matrix
 from .exact import QuadExt, squarefree_decompose
@@ -146,12 +146,12 @@ def free_reduce(letters) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class GroupElementNF:
+class GroupElementNF(NamedTuple):
     """Normal form of a group element: reduced t-word times a permutation.
 
     The represented matrix is t_{k_1} * ... * t_{k_r} * P(sigma); for
-    n >= 2 this factorization is unique.
+    n >= 2 this factorization is unique.  An immutable named tuple of its
+    two fields; ``*`` is the group product, not tuple repetition.
     """
 
     letters: tuple[int, ...]
@@ -344,8 +344,7 @@ def prefix_check(sys: CoxeterSystem, word: PsiWord) -> bool:
     return nf.letters[:2] == expected
 
 
-@dataclass(frozen=True)
-class FreeReport:
+class FreeReport(NamedTuple):
     words_checked: int
     collisions: int
 
@@ -385,8 +384,7 @@ class PairClass(Enum):
     UNIPOTENT = "unipotent"          # n = 2: eigenvalue 1 only, not diagonalizable
 
 
-@dataclass(frozen=True)
-class EigenPair:
+class EigenPair(NamedTuple):
     """The eigenvalue > 1 of t_i * t_j together with a primitive exact
     eigenvector over the quadratic field."""
     value: QuadExt

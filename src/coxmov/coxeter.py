@@ -17,32 +17,35 @@ H_1, ..., H_m; storage is 0-based internally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from typing import NamedTuple
 
 from .linalg import Matrix
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of {1, ..., m}, stored by its tuple of images."""
+class Permutation(NamedTuple("Permutation", [("images", tuple[int, ...])])):
+    """A permutation of {1, ..., m}, stored by its tuple of images.
 
-    images: tuple[int, ...]
+    An immutable named tuple of one field; ``*`` is composition, not tuple
+    repetition, and the constructor refuses a tuple that is not a
+    permutation of 1..m.
+    """
 
-    def __post_init__(self):
-        m = len(self.images)
-        if sorted(self.images) != list(range(1, m + 1)):
-            raise ValueError(f"not a permutation of 1..{m}: {self.images}")
+    __slots__ = ()
+
+    def __new__(cls, images: tuple[int, ...]) -> "Permutation":
+        m = len(images)
+        if sorted(images) != list(range(1, m + 1)):
+            raise ValueError(f"not a permutation of 1..{m}: {images}")
+        return cls._of(images)
 
     @classmethod
     def _of(cls, images: tuple[int, ...]) -> "Permutation":
         """A permutation from images that are one by construction,
         built without the check."""
-        perm = object.__new__(cls)
-        object.__setattr__(perm, "images", images)
-        return perm
+        return tuple.__new__(cls, (images,))
 
     @staticmethod
     def identity(m: int) -> "Permutation":

@@ -16,9 +16,9 @@ fundamental domain and the classes D1, D2 are literal data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
+from typing import NamedTuple
 
 from .atlas import isotropy_value
 from .bir import psi_matrix, reduced_walk
@@ -58,8 +58,7 @@ def sym_fundamental_domain() -> tuple[tuple[int, ...], ...]:
     return ((0, 0, 1), (-1, 2, 2), (0, 1, 0), (2, 2, -1))
 
 
-@dataclass(frozen=True)
-class TangentLine:
+class TangentLine(NamedTuple):
     """A line p^T * Qhat * x = 0 tangent to the quadric at the point p."""
 
     coefficients: tuple[int, int, int]
@@ -92,8 +91,7 @@ def d_classes() -> tuple[tuple[int, ...], tuple[int, ...]]:
 # words in Z/2 * Z
 
 
-@dataclass(frozen=True)
-class SymWord:
+class SymWord(NamedTuple):
     """Normal form in Z/2 * Z: alternating syllables ('a', 1) / ('b', k)."""
 
     syllables: tuple[tuple[str, int], ...]
@@ -169,8 +167,7 @@ def _sym_walk(depth: int):
         yield state
 
 
-@dataclass(frozen=True)
-class SymChamber:
+class SymChamber(NamedTuple):
     """A translate of the quadrilateral fundamental region."""
 
     word: SymWord
@@ -196,8 +193,7 @@ def sym_enumerate(depth: int) -> list[SymChamber]:
 # expected pseudoeffective boundary
 
 
-@dataclass(frozen=True)
-class PsefPatch:
+class PsefPatch(NamedTuple):
     """A piece of pseudoeffective-boundary data attached to one group
     translate.  ``status`` separates the proven boundary segments from the
     conjectural tangential gluing read off the expected picture."""

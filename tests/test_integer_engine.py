@@ -325,7 +325,7 @@ def typed_classes(draw):
 def test_classify_input_types_match_fraction_scaling(case, max_steps):
     sys, coords = case
     want = _classify_through_fractions(sys, coords, max_steps)
-    if isinstance(want, tuple):
+    if not isinstance(want, ClassificationResult):
         with pytest.raises(ClassificationError) as err:
             classify(sys, coords, max_steps)
         assert (err.value.steps, err.value.last_iterate) == want

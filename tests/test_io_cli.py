@@ -742,6 +742,21 @@ def test_cli_import_loads_no_subcommand_modules():
     assert proc.stdout == "[]\n"
 
 
+def test_cli_start_loads_no_dataclass_machinery():
+    # the result records are named tuples, so building the parser imports
+    # neither ``dataclasses`` nor the ``inspect`` it pulls in; modules that
+    # ``site`` loaded before the probe ran do not count
+    src = Path(jsonio.__file__).resolve().parents[1]
+    probe = ("import sys; before = set(sys.modules); import coxmov.cli; "
+             "coxmov.cli.build_parser(); "
+             "print(sorted(m for m in ('dataclasses', 'inspect') "
+             "if m in sys.modules and m not in before))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
 def test_suite_choices_match_checks():
     assert cli.SUITE_CHOICES == checks.SUITE_NAMES + ("all",)
 
