@@ -29,6 +29,10 @@ from .linalg import Matrix, _primitive_pair
 
 DEFAULT_WORD_BUDGET = 10 ** 6
 BUDGET_ENV_VAR = "COXMOV_WORD_BUDGET"
+# the largest n whose radicands n - 2 and n + 2 ``_eigen_vectors`` factors:
+# trial division to their cube roots, about 2.3 * 10^6 odd divisors each
+# at 10^20
+MAX_RADICAND_N = 10 ** 20
 
 
 class BudgetError(ValueError):
@@ -397,7 +401,13 @@ def _eigen_vectors(n: int, m: int, pairs):
     with P + Q*sqrt(d) an eigenvector of t_i * t_j for lambda > 1: t_i * t_j
     maps c_i, c_j (c_k = n*ones - (n+2)*e_k) by [[n^2-1, -n], [n, -1]], so
     (lambda+1)*c_i + n*c_j is n/2 times p + q*sqrt(d), p = n*c_i + 2*c_j,
-    q = s*c_i, and (P, Q) is that times the conjugate of its last entry."""
+    q = s*c_i, and (P, Q) is that times the conjugate of its last entry.
+    Refused for n > MAX_RADICAND_N, before any factoring."""
+    if n > MAX_RADICAND_N:
+        raise ValueError(
+            f"eigenvector data needs n <= {MAX_RADICAND_N}: the radicands "
+            "n - 2 and n + 2 are factored by trial division to their cube "
+            "roots")
     (s1, d1), (s2, d2) = map(squarefree_decompose, (n - 2, n + 2))
     g = gcd(d1, d2)     # 1 or 2: n-2 and n+2 differ by 4
     s, d = s1 * s2 * g, d1 * d2 // (g * g)

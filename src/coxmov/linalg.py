@@ -14,10 +14,9 @@ each column of the right one (or the vector) as integer numerators over
 one common denominator, so entry (i, j) is a single
 ``Fraction(sum(a_i * b_j), d_i * d_j)`` instead of about 2k ``Fraction``
 operations, each with its own gcd, or ``Fraction(sum)`` when that
-denominator is 1.  A matrix keeps both forms once computed, so a reused
-operand is scaled once; a kept form is empty when some entry is not
-rational (``QuadExt``), and products with it go through ``dot``.
-Products, ``transpose`` and ``columns`` do not re-normalise entries.
+denominator is 1.  When some entry is not rational (``QuadExt``) the
+product goes through ``dot``.  Products, ``transpose`` and ``columns`` do
+not re-normalise entries.
 """
 
 from __future__ import annotations
@@ -52,11 +51,13 @@ def _scaled(vectors):
     return out
 
 
-def _product(rows, cols, left, right):
-    """Entry (i, j) is rows[i] . cols[j]: on ints from the ``_scaled`` forms
-    ``left`` and ``right``, or through ``dot`` when either is empty."""
-    if not (left and right):
-        cols = tuple(cols)
+def _product(rows, cols):
+    """Entry (i, j) is rows[i] . cols[j]: on ints from their ``_scaled``
+    forms, or through ``dot`` when some entry is not rational."""
+    cols = tuple(cols)
+    left = _scaled(rows)
+    right = left and _scaled(cols)
+    if not right:
         return tuple(tuple(dot(row, col) for col in cols) for row in rows)
     out = []
     for a, da in left:
@@ -81,7 +82,7 @@ def dot(u, v):
 class Matrix:
     """Immutable exact matrix."""
 
-    __slots__ = ("rows", "nrows", "ncols", "_row_form", "_col_form")
+    __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows):
         rows = tuple(tuple(_norm_entry(e) for e in row) for row in rows)
@@ -91,27 +92,13 @@ class Matrix:
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows")
         self.rows, self.nrows, self.ncols = rows, len(rows), width
-        self._row_form = self._col_form = None
 
     @classmethod
     def _of(cls, rows) -> "Matrix":
         """A matrix on rows already normalised, taken as is."""
         self = object.__new__(cls)
         self.rows, self.nrows, self.ncols = rows, len(rows), len(rows[0])
-        self._row_form = self._col_form = None
         return self
-
-    def _scaled_rows(self):
-        """``_scaled`` of the rows, computed once; () when not rational."""
-        if self._row_form is None:
-            self._row_form = _scaled(self.rows) or ()
-        return self._row_form
-
-    def _scaled_columns(self):
-        """``_scaled`` of the columns, computed once; () when not rational."""
-        if self._col_form is None:
-            self._col_form = _scaled(zip(*self.rows)) or ()
-        return self._col_form
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -182,19 +169,13 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("dimension mismatch")
-            left = self._scaled_rows()
-            right = left and other._scaled_columns()
-            return Matrix._of(_product(self.rows, zip(*other.rows),
-                                       left, right))
+            return Matrix._of(_product(self.rows, zip(*other.rows)))
         if isinstance(other, (tuple, list)):
             if self.ncols != len(other):
                 raise ValueError("dimension mismatch")
-            left = self._scaled_rows()
-            right = left and _scaled((other,))
-            if not right and any(isinstance(x, float) for x in other):
+            if any(isinstance(x, float) for x in other):
                 raise TypeError("exact matrices do not accept floats")
-            return tuple(row[0] for row in
-                         _product(self.rows, (other,), left, right))
+            return tuple(row[0] for row in _product(self.rows, (other,)))
         if isinstance(other, (int, Fraction, QuadExt)):
             return self.map(lambda e: e * other)
         return NotImplemented

@@ -184,8 +184,9 @@ def sym_enumerate(depth: int) -> list[SymChamber]:
     """Translates g . Pi of the quadrilateral for all reduced words up to
     the given depth; distinct words give distinct translates, so there are
     3 * 2^depth - 2 of them."""
-    base = sym_fundamental_domain()
-    return [SymChamber(word, tuple(primitive_int_vector(mat * r) for r in base))
+    base = Matrix.from_columns(sym_fundamental_domain())
+    return [SymChamber(word, tuple(map(primitive_int_vector,
+                                       (mat * base).columns())))
             for word, mat in _sym_walk(depth)]
 
 
@@ -221,19 +222,16 @@ def psef_patches(depth: int) -> list[PsefPatch]:
     d1, d2 = d_classes()
     touch1 = (-1, 2, 2)          # tangency point shared with D1
     touch2 = (2, -1, 2)          # its swap image, shared with D2
-    e3 = (0, 0, 1)
+    points = Matrix.from_columns((d1, d2, (0, 0, 1), touch1, touch2))
     out: list[PsefPatch] = []
     for word, mat in _sym_walk(depth):
         if word.syllables and word.syllables[-1][0] == "a":
             continue
-
-        def g(v):
-            image = mat * v
-            if any(x.denominator != 1 for x in image):
-                raise ArithmeticError("non-integral image")
-            return tuple(x.numerator for x in image)
-
-        gd1, gd2, ge3, gt1, gt2 = map(g, (d1, d2, e3, touch1, touch2))
+        images = (mat * points).columns()
+        if any(x.denominator != 1 for col in images for x in col):
+            raise ArithmeticError("non-integral image")
+        gd1, gd2, ge3, gt1, gt2 = (tuple(x.numerator for x in col)
+                                   for col in images)
         out += [PsefPatch(word, "segment-d1-d2", (gd1, gd2), "proven"),
                 PsefPatch(word, "segment-d1-tangent", (gd1, gt1), "proven"),
                 PsefPatch(word, "segment-d2-tangent", (gd2, gt2), "proven"),

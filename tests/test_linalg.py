@@ -345,11 +345,11 @@ def test_quadratic_and_mixed_products_match_naive_sum(case):
         [reduce(add, map(mul, row, vec)) for row in a]
 
 
-# -- the kept integer forms of each operand ------------------------------------
+# -- reused operands ----------------------------------------------------------
 
 def matrix_entries(kind, d):
     """Entries of one matrix: all int, all rational, or rational with some
-    ``QuadExt`` (then its kept integer forms are empty)."""
+    ``QuadExt`` (then its products go through ``dot``)."""
     if kind == "int":
         return INTS
     if kind == "fraction":
@@ -389,9 +389,9 @@ def assert_entry_types(values, rational):
 @given(product_sessions())
 def test_reused_operands_and_results_match_naive_sum(case):
     # the same Matrix objects serve as left and right operands, several
-    # times each and in any order, so a product that read the row form of
-    # the right operand, or a stale or misplaced kept form, gives a wrong
-    # entry
+    # times each and in any order, so a product that read the rows of the
+    # right operand where it needs its columns, or that let one product
+    # change an operand, gives a wrong entry
     pool, steps, vectors = case
     mats = [Matrix(rows) for rows in pool]
     for i, j, action in steps:
@@ -437,29 +437,8 @@ def test_integral_times_fractional_keeps_denominators(r, k, c, ints, fracs,
     assert_rational_entries(image)
 
 
-def test_integer_forms_are_computed_once_per_operand(monkeypatch):
-    from coxmov import linalg
-    calls = []
-    real = linalg._scaled
-
-    def counting(vectors):
-        calls.append(1)
-        return real(vectors)
-
-    monkeypatch.setattr(linalg, "_scaled", counting)
-    quad = Matrix([[QuadExt(1, 1, 2), 1], [0, Fraction(1, 3)]])
-    rat = Matrix([[1, Fraction(1, 2)], [3, 4]])
-    for _ in range(5):
-        quad * rat          # rows of quad: empty, so rat is not scaled
-        rat * quad          # rows of rat, columns of quad: empty
-        rat * rat           # columns of rat
-        quad * (1, 2)       # rows of quad again: no call
-    assert len(calls) == 4
-    for _ in range(5):
-        rat * (1, 2)        # a vector is scaled on every product
-    assert len(calls) == 9
-    assert quad * rat == Matrix(naive_product(quad.rows, rat.rows))
-    assert rat * quad == Matrix(naive_product(rat.rows, quad.rows))
+def test_matrix_keeps_no_state_beyond_its_rows():
+    assert Matrix.__slots__ == ("rows", "nrows", "ncols")
 
 
 def test_transpose_and_columns():

@@ -1,19 +1,25 @@
 """Every refusal pinned by its exception type and message, plus the value
 contracts of ``QuadExt`` and ``Matrix`` that the arithmetic relies on."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from coxmov import bir
 from coxmov.atlas import classify
-from coxmov.bir import psi_matrix
+from coxmov.bir import EigenPair, MAX_RADICAND_N, eigen_pair, psi_matrix
 from coxmov.checks import run_suites
+from coxmov.cli import main
 from coxmov.coxeter import Permutation, build_system
 from coxmov.exact import QuadExt, sqrt_exact
 from coxmov.linalg import Matrix, dot
 from coxmov.svgplot import fnum
 
 S23 = build_system(2, 3)
+RADICAND_REFUSAL = (f"eigenvector data needs n <= {10 ** 20}: the radicands "
+                    "n - 2 and n + 2 are factored by trial division to their "
+                    "cube roots")
 WIDE = Matrix([[1, 2, 3], [4, 5, 6]])
 
 REFUSALS = [
@@ -58,6 +64,8 @@ REFUSALS = [
                  id="matrix-charpoly"),
     pytest.param(lambda: fnum(float("nan")), ValueError,
                  "svg coordinate nan is not finite", id="svg-coordinate"),
+    pytest.param(lambda: eigen_pair(build_system(10 ** 20 + 1, 3), 1, 2),
+                 ValueError, RADICAND_REFUSAL, id="eigen-radicand"),
 ]
 
 
@@ -104,3 +112,27 @@ def test_quadext_order_against_rationals_and_other_fields():
             compare()
     with pytest.raises(TypeError):
         r5 >= 2.0
+
+
+def test_radicand_bound_admits_ten_to_the_twenty(capsys):
+    assert MAX_RADICAND_N == 10 ** 20
+    assert isinstance(eigen_pair(build_system(10 ** 20, 3), 1, 2), EigenPair)
+    assert main(["boundary", "--n", str(10 ** 20), "--m", "3",
+                 "--depth", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["n"] == 10 ** 20
+
+
+@pytest.mark.parametrize("n", [10 ** 20 + 1, 10 ** 34])
+def test_radicand_work_above_the_bound_is_refused_before_factoring(
+        monkeypatch, capsys, n):
+    def unreachable(_):
+        raise AssertionError("factored a radicand above the bound")
+
+    monkeypatch.setattr(bir, "squarefree_decompose", unreachable)
+    with pytest.raises(ValueError, match="^eigenvector data needs n <= "):
+        eigen_pair(build_system(n, 3), 1, 2)
+    assert main(["boundary", "--n", str(n), "--m", "3", "--depth", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": {"code": 2, "message": RADICAND_REFUSAL}}

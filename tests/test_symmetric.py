@@ -178,6 +178,17 @@ def test_sym_enumerate_one_cone_per_word():
         assert len({c.ray_key() for c in cones}) == len(cones)
 
 
+def test_sym_enumerate_rays_match_word_matrices():
+    # oracle: each word's matrix built from its generator powers
+    # (SymWord.matrix, not the walk), applied to the base rays one by one
+    base = sym_fundamental_domain()
+    for depth in range(7):
+        for cone in sym_enumerate(depth):
+            mat = cone.word.matrix()
+            assert cone.rays == tuple(primitive_int_vector(mat * r)
+                                      for r in base)
+
+
 def _psef_by_dedup(depth):
     # oracle: all five pieces of every translate, keeping the first
     # (breadth-first) piece of each ray set
