@@ -8,6 +8,8 @@ The schema is versioned and documented in ``schema/coxmov.schema.json``.
 from module-level functions appending to one list, so a call leaves no
 cyclic garbage for the collector; a value of any other type than str,
 int, bool, None, str-keyed dict, list or tuple raises ``TypeError``.
+Each array item is joined into one string once it is written, so the
+writer's peak memory is about twice the length of the text.
 """
 
 from __future__ import annotations
@@ -156,7 +158,7 @@ def system_document(sys: CoxeterSystem) -> dict:
     body = {
         "gram": matrix_to_obj(sys.gram),
         "lorentzian": sys.lorentzian,
-        "generators": [[[str(x) for x in row] for row in zip(*ch.rays)]
+        "generators": [[[int_str(x) for x in row] for row in zip(*ch.rays)]
                        for ch in fundamental_domain(sys)[1:]],
         "quadric": matrix_to_obj(sys.quadric_matrix()),
     }
@@ -202,10 +204,7 @@ def _write_json(obj, out: list, level: int):
     if kind is str:
         out.append(encode_basestring_ascii(obj))
     elif kind is int:
-        try:
-            out.append(int.__repr__(obj))
-        except ValueError:  # past the int-to-str digit limit
-            out.append(str(Decimal(obj)))
+        out.append(int_str(obj))
     elif obj is None or kind is bool:
         out.append(_CONSTANTS[obj])
     elif kind is dict or kind is list or kind is tuple:
@@ -236,8 +235,9 @@ def _write_json(obj, out: list, level: int):
             return
         sep = "[" + pad
         for item in obj:
-            out.append(sep)
-            _write_json(item, out, level + 1)
+            piece = [sep]
+            _write_json(item, piece, level + 1)
+            out.append("".join(piece))
             sep = "," + pad
         out.append(close)
     else:
@@ -252,7 +252,8 @@ def dumps(doc: dict) -> str:
     Accepted: ``str``, plain ``int``, ``bool``, ``None``, dicts with
     ``str`` keys, lists and tuples (written as arrays); anything else,
     floats included, raises ``TypeError``.  A list of only strings or only
-    ints is joined in one piece.
+    ints is joined in one piece; any other array joins each item once it
+    is written, so the peak memory is about twice the text.
     """
     out: list[str] = []
     _write_json(doc, out, 0)

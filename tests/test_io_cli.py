@@ -180,6 +180,39 @@ def test_dumps_leaves_no_cyclic_garbage():
         gc.enable()
 
 
+@pytest.mark.parametrize("layer", ["psef", "movable"])
+def test_dumps_peak_memory_is_about_twice_the_text(layer):
+    # each array item is joined once written, so the writer never holds
+    # every token of a large listing at once
+    import tracemalloc
+
+    from coxmov.symmetric import psef_patches, sym_enumerate
+    if layer == "psef":
+        doc = jsonio.symmetric_document(6, layer, psef_patches(6))
+    else:
+        doc = jsonio.symmetric_document(8, layer, sym_enumerate(8))
+    text = jsonio.dumps(doc)
+    tracemalloc.start()
+    try:
+        jsonio.dumps(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text), (peak, len(text))
+
+
+def test_system_document_past_the_int_str_limit():
+    n = 10 ** 4400
+    sys_ = build_system(n, 3)
+    doc = json.loads(jsonio.dumps(jsonio.system_document(sys_)),
+                     parse_int=Decimal)
+    assert doc["params"]["n"] == Decimal(n)
+    expected = [[[str(Decimal(x)) for x in row] for row in zip(*ch.rays)]
+                for ch in fundamental_domain(sys_)[1:]]
+    assert doc["generators"] == expected
+    assert str(Decimal(n)) in {x for g in expected for row in g for x in row}
+
+
 def test_system_generators_match_matrix_oracle():
     # the generators come from the integer column walk; t(i) builds the
     # same matrices from its own closed form
