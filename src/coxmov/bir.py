@@ -188,17 +188,19 @@ class GroupElementNF(NamedTuple):
         return len(self.letters)
 
 
-class PsiWord:
+class PsiWord(NamedTuple("PsiWord",
+                          [("letters", tuple[tuple[int, int, int], ...])])):
     """A freely reduced word in the generators psi_{i,j}.
 
     Letters are stored as (i, j, exponent) with i < j and nonzero exponent;
     psi_{j,i} is recorded as psi_{i,j}^{-1}.  Adjacent letters never share
-    the same index pair.
+    the same index pair.  An immutable named tuple of one field, built
+    from any iterable of (i, j, exponent); ``*`` is the word product.
     """
 
-    __slots__ = ("letters",)
+    __slots__ = ()
 
-    def __init__(self, letters=()):
+    def __new__(cls, letters=()) -> "PsiWord":
         merged: list[list[int]] = []
         for (i, j, e) in letters:
             if i == j:
@@ -213,7 +215,7 @@ class PsiWord:
                     merged.pop()
             else:
                 merged.append([i, j, e])
-        self.letters = tuple((i, j, e) for i, j, e in merged)
+        return tuple.__new__(cls, (tuple(map(tuple, merged)),))
 
     @staticmethod
     def generator(i: int, j: int, exponent: int = 1) -> "PsiWord":
@@ -239,12 +241,6 @@ class PsiWord:
 
     def inverse(self) -> "PsiWord":
         return PsiWord(tuple((i, j, -e) for (i, j, e) in reversed(self.letters)))
-
-    def __eq__(self, other):
-        return isinstance(other, PsiWord) and self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
 
     def __repr__(self):
         if not self.letters:

@@ -10,6 +10,11 @@ cyclic garbage for the collector; a value of any other type than str,
 int, bool, None, str-keyed dict, list or tuple raises ``TypeError``.
 Each array item is joined into one string once it is written, so the
 writer's peak memory is about twice the length of the text.
+Documents hold the records' own tuples (rays, words, pairs, permutation
+images, syllables and psi letters), never copies, and ``system_document``
+writes every generator entry from one shared string per distinct value.
+Builders pass only those plain-tuple fields, never a record: ``dumps``
+refuses tuple subclasses.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .exact import QuadExt
 from .linalg import Matrix
 
 if TYPE_CHECKING:
-    from .symmetric import PsefPatch, SymChamber, SymWord
+    from .symmetric import PsefPatch, SymChamber
 
 SCHEMA_VERSION = "1"
 
@@ -81,8 +86,8 @@ def quad_vec_to_obj(vec) -> list:
     return [quad_to_obj(x) for x in vec]
 
 
-def psi_word_to_obj(word: PsiWord) -> list:
-    return [[i, j, e] for (i, j, e) in word.letters]
+def psi_word_to_obj(word: PsiWord) -> tuple:
+    return word.letters
 
 
 def obj_to_psi_word(obj) -> PsiWord:
@@ -90,7 +95,7 @@ def obj_to_psi_word(obj) -> PsiWord:
 
 
 def chamber_to_obj(ch: Chamber) -> dict:
-    return {"word": list(ch.word), "rays": [list(r) for r in ch.rays]}
+    return {"word": ch.word, "rays": ch.rays}
 
 
 def obj_to_chamber(obj) -> Chamber:
@@ -99,10 +104,10 @@ def obj_to_chamber(obj) -> Chamber:
 
 def patch_to_obj(p: BoundaryPatch) -> dict:
     return {
-        "pair": list(p.pair),
-        "word": list(p.word),
+        "pair": p.pair,
+        "word": p.word,
         "apex": quad_vec_to_obj(p.apex),
-        "base_rays": [list(r) for r in p.base_rays],
+        "base_rays": p.base_rays,
     }
 
 
@@ -114,10 +119,10 @@ def obj_to_patch(obj) -> BoundaryPatch:
 
 def classification_to_obj(res: ClassificationResult) -> dict:
     return {
-        "t_word": list(res.t_word),
+        "t_word": res.t_word,
         "psi_word": psi_word_to_obj(res.psi_word),
         "model_index": res.model_index,
-        "perm": list(res.perm.images),
+        "perm": res.perm.images,
         "nef_coords": frac_vec_to_obj(res.nef_coords),
     }
 
@@ -130,18 +135,13 @@ def obj_to_classification(obj) -> ClassificationResult:
                                 tuple(str_to_frac(x) for x in obj["nef_coords"]))
 
 
-def sym_word_to_obj(word: SymWord) -> list:
-    return [[gen, k] for gen, k in word.syllables]
-
-
 def sym_chamber_to_obj(ch: SymChamber) -> dict:
-    return {"word": sym_word_to_obj(ch.word),
-            "rays": [list(r) for r in ch.rays]}
+    return {"word": ch.word.syllables, "rays": ch.rays}
 
 
 def psef_patch_to_obj(p: PsefPatch) -> dict:
-    return {"word": sym_word_to_obj(p.word), "label": p.label,
-            "status": p.status, "rays": [list(r) for r in p.rays]}
+    return {"word": p.word.syllables, "label": p.label,
+            "status": p.status, "rays": p.rays}
 
 
 # -- documents ---------------------------------------------------------------
@@ -154,11 +154,13 @@ def document(command: str, params: dict, body: dict) -> dict:
 
 
 def system_document(sys: CoxeterSystem) -> dict:
-    # chamber k of the fundamental domain is t_k . Nef, rays = columns of t_k
+    # chamber k of the fundamental domain is t_k . Nef, rays = columns of t_k,
+    # whose entries are 0, 1, -1 and n: one string each serves all m^3
+    text = {x: int_str(x) for x in (0, 1, -1, sys.n)}
     body = {
         "gram": matrix_to_obj(sys.gram),
         "lorentzian": sys.lorentzian,
-        "generators": [[[int_str(x) for x in row] for row in zip(*ch.rays)]
+        "generators": [[[text[x] for x in row] for row in zip(*ch.rays)]
                        for ch in fundamental_domain(sys)[1:]],
         "quadric": matrix_to_obj(sys.quadric_matrix()),
     }

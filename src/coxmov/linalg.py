@@ -321,7 +321,7 @@ def primitive_int_vector(vec) -> tuple[int, ...]:
     if all(f == 0 for f in fracs):
         raise ValueError("zero vector has no primitive form")
     denom = lcm(*(f.denominator for f in fracs))
-    ints = [int(f * denom) for f in fracs]
+    ints = [f.numerator * (denom // f.denominator) for f in fracs]
     g = gcd(*ints)
     return tuple(x // g for x in ints)
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import jsonschema
@@ -199,6 +200,36 @@ def test_dumps_peak_memory_is_about_twice_the_text(layer):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * len(text), (peak, len(text))
+
+
+@pytest.mark.parametrize("kind", ["psef", "movable", "chambers"])
+def test_building_and_writing_a_listing_peaks_under_three_times_the_text(kind):
+    # the documents hold the records' own tuples, so building one adds
+    # only a small dict per record to what the writer needs
+    import tracemalloc
+
+    from coxmov.symmetric import psef_patches, sym_enumerate
+    if kind == "chambers":
+        s = build_system(3, 4)
+        build = partial(jsonio.chambers_document, s, 5,
+                        enumerate_chambers(s, 5))
+    else:
+        depth = 6 if kind == "psef" else 8
+        items = (psef_patches if kind == "psef" else sym_enumerate)(depth)
+        build = partial(jsonio.symmetric_document, depth, kind, items)
+    text = jsonio.dumps(build())
+    tracemalloc.start()
+    try:
+        jsonio.dumps(build())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text), (peak, len(text))
+
+
+def test_system_document_shares_one_string_per_generator_value():
+    gens = jsonio.system_document(build_system(2, 40))["generators"]
+    assert len({id(x) for g in gens for row in g for x in row}) <= 4
 
 
 def test_system_document_past_the_int_str_limit():

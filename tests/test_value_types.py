@@ -1,4 +1,4 @@
-"""The contract of the eleven immutable result records.
+"""The contract of the eleven immutable result records and of ``PsiWord``.
 
 Each record is built by keyword from its fields in declaration order; the
 checks hold for any implementation of the records as frozen value types.
@@ -93,3 +93,22 @@ def test_records_are_named_tuples():
         assert isinstance(rec, tuple) and len(rec) == len(fields)
         assert tuple(rec) == values == rec and rec[0] == values[0]
         assert cls._fields == tuple(fields)
+
+
+def test_psi_word_is_an_immutable_named_tuple():
+    # a hashable word that could be changed would leave a set or dict that
+    # holds it unable to find it
+    w = PsiWord(letters=[(2, 1, 1), (1, 3, 2)])
+    held = {w}
+    for setter in (lambda: setattr(w, "letters", ((1, 3, 1),)),
+                   lambda: delattr(w, "letters")):
+        with pytest.raises(AttributeError):
+            setter()
+    assert w in held and w.letters == ((1, 2, -1), (1, 3, 2))
+    assert type(w) is PsiWord and PsiWord._fields == ("letters",)
+    assert w == (w.letters,) and hash(w) == hash(PsiWord(w.letters))
+    assert PsiWord() == PsiWord(()) and repr(PsiWord()) == "PsiWord()"
+    assert w * w.inverse() == PsiWord()
+    res = ClassificationResult(**dict(RECORDS)[ClassificationResult])
+    with pytest.raises(AttributeError):
+        res.psi_word.letters = ()
