@@ -59,19 +59,18 @@ def reduced_walk(alphabet, inverse, step, start, depth: int):
     Yields ``(letters, state)`` by length, then in alphabet order, with
     the empty word first; a word's state is ``step(parent_state, letter)``,
     so each word costs one step.  Only the current frontier is kept.
-    Raises ``BudgetError`` before the first word when the word count
-    1 + A * sum_{k<depth} (A-1)^k exceeds ``word_budget()``.
+    Raises ``BudgetError`` before the first word when ``_word_count``
+    exceeds ``word_budget()``, at once at any depth: past 2^64 words, the
+    lower bound 2^depth for 3+ letters stands in for the exact count.
     """
     if depth < 0:
         raise ValueError("negative depth")
-    size = len(alphabet)
-    cap = word_budget()
-    count, level = 1, size
-    for _ in range(depth):
-        count += level
-        level *= size - 1
+    size, cap = len(alphabet), word_budget()
+    deep = size > 2 and depth > max(64, cap.bit_length())  # >= 2^depth words
+    count = max(cap, 2 ** 64) + 1 if deep else _word_count(size, depth)
     if count > cap:
-        raise BudgetError(f"{count} words at depth {depth} exceed the budget {cap}")
+        shown = "more than 2^64" if count > 2 ** 64 else count
+        raise BudgetError(f"{shown} words at depth {depth} exceed the budget {cap}")
 
     frontier = [((), start)]
     yield frontier[0]
@@ -85,6 +84,48 @@ def reduced_walk(alphabet, inverse, step, start, depth: int):
                     nxt.append(item)
                     yield item
         frontier = nxt
+
+
+def _word_count(size: int, depth: int) -> int:
+    """How many reduced words of length <= depth ``size`` letters give:
+    1 + size*((size-1)^depth - 1)/(size-2), 1 + 2*depth for two, 0 below 0."""
+    if depth < 0 or size == 2:
+        return max(0, 1 + 2 * depth)
+    return 1 + size * ((size - 1) ** depth - 1) // (size - 2)
+
+
+def _word_unrank(alphabet, inverse, index: int) -> tuple:
+    """The word at position ``index`` in ``reduced_walk`` order: past the
+    shorter words, a mixed-radix number with A = len(alphabet) choices for
+    the first letter, then A - 1 that skip the previous letter's inverse."""
+    size, length = len(alphabet), 0
+    while _word_count(size, length) <= index:
+        length += 1
+    rest, word = index - _word_count(size, length - 1), []
+    for k in reversed(range(length)):
+        digit, rest = divmod(rest, (size - 1) ** k)
+        if word:
+            digit += digit >= alphabet.index(inverse[word[-1]])
+        word.append(alphabet[digit])
+    return tuple(word)
+
+
+def _word_rank(alphabet, inverse, word) -> int:
+    """The position of a reduced word in ``reduced_walk`` order."""
+    rest = 0
+    for k, x in enumerate(word):
+        digit = alphabet.index(x)
+        if k:
+            digit -= digit > alphabet.index(inverse[word[k - 1]])
+        rest = rest * (len(alphabet) - 1) + digit
+    return _word_count(len(alphabet), len(word) - 1) + rest
+
+
+def _psi_alphabet(m: int):
+    """The psi-letters (i, j, +-1), i < j, in walk order, with inverses."""
+    gens = [(i, j, s) for i in range(1, m + 1) for j in range(i + 1, m + 1)
+            for s in (1, -1)]
+    return gens, {(i, j, s): (i, j, -s) for (i, j, s) in gens}
 
 
 def _require_infinite_order(sys: CoxeterSystem):
@@ -358,10 +399,8 @@ def verify_free(sys: CoxeterSystem, depth: int) -> FreeReport:
     """
     _require_infinite_order(sys)
     m = sys.m
-    gens = [(i, j, s) for i in range(1, m + 1) for j in range(i + 1, m + 1)
-            for s in (1, -1)]
+    gens, inverse = _psi_alphabet(m)
     nf_gens = {g: _letter_nf(m, *g) for g in gens}
-    inverse = {(i, j, s): (i, j, -s) for (i, j, s) in gens}
     seen = set()
     collisions = 0
     for _, nf in reduced_walk(gens, inverse, lambda nf, g: nf * nf_gens[g],

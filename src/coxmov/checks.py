@@ -16,7 +16,8 @@ from . import symmetric as sym
 from .atlas import (boundary_patches, classify, enumerate_chambers,
                     fundamental_domain, isotropy_value, project_affine,
                     word_matrix)
-from .bir import (PsiWord, eigen_pair, flop_pullback, prefix_check,
+from .bir import (PsiWord, _psi_alphabet, _word_count, _word_rank,
+                  _word_unrank, eigen_pair, flop_pullback, prefix_check,
                   psi_matrix, swap_identity_holds, verify_free)
 from .coxeter import Permutation, build_system, perm_matrix
 from .exact import QuadExt
@@ -162,9 +163,7 @@ def suite_free(n=2, m=3) -> dict:
         report.collisions == 0)]
 
     rng = random.Random(20240 + 10 * n + m)
-    alphabet = [(i, j, e) for i in range(1, m + 1)
-                for j in range(i + 1, m + 1) for e in (1, -1)]
-    inverse = {(i, j, e): (i, j, -e) for i, j, e in alphabet}
+    alphabet, inverse = _psi_alphabet(m)
     ok = True
     for _ in range(300):
         word = _random_reduced(rng, alphabet, inverse, rng.randint(1, 6))
@@ -177,12 +176,10 @@ def suite_free(n=2, m=3) -> dict:
 
 def _random_reduced(rng, alphabet, inverse, length):
     """A uniform random word of ``length`` letters in which no letter is
-    followed by ``inverse[letter]``, the convention of ``reduced_walk``."""
-    word = []
-    for _ in range(length):
-        banned = inverse[word[-1]] if word else None
-        word.append(rng.choice([x for x in alphabet if x != banned]))
-    return tuple(word)
+    followed by ``inverse[letter]``, the convention of ``reduced_walk``:
+    the word at a uniform walk position among those of that length."""
+    first, past = (_word_count(len(alphabet), k) for k in (length - 1, length))
+    return _word_unrank(alphabet, inverse, rng.randrange(first, past))
 
 
 def suite_tiling(n=2, m=3) -> dict:
@@ -190,7 +187,6 @@ def suite_tiling(n=2, m=3) -> dict:
     chambers = enumerate_chambers(s, TILING_DEPTH)
     checks = []
 
-    by_word = {c.word: c for c in chambers}
     ok = True
     for c in chambers:
         res = classify(s, c.interior_point())
@@ -200,13 +196,14 @@ def suite_tiling(n=2, m=3) -> dict:
         {"n": n, "m": m, "depth": TILING_DEPTH, "chambers": len(chambers)},
         ok))
 
+    letters, inverse = range(1, m + 1), {k: k for k in range(1, m + 1)}
     ok = True
     for c in chambers:
         if not c.word:
             continue
-        parent = by_word[c.word[:-1]]
+        parent = chambers[_word_rank(letters, inverse, c.word[:-1])]
         shared = set(c.rays) & set(parent.rays)
-        ok = ok and len(shared) == m - 1
+        ok = ok and len(shared) == m - 1 and parent.word == c.word[:-1]
     checks.append(_check(
         "adjacency", "a chamber shares exactly m-1 rays with its parent",
         {"n": n, "m": m, "depth": TILING_DEPTH}, ok))
@@ -217,11 +214,9 @@ def suite_tiling(n=2, m=3) -> dict:
         {"n": n, "m": m, "depth": TILING_DEPTH}, len(keys) == len(chambers)))
 
     rng = random.Random(777 + 10 * n + m)
-    alphabet = range(1, m + 1)
-    inverse = {k: k for k in alphabet}
     ok = True
     for _ in range(100):
-        word = _random_reduced(rng, alphabet, inverse, rng.randint(0, 6))
+        word = _random_reduced(rng, letters, inverse, rng.randint(0, 6))
         coords = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 4))
                        for _ in range(m))
         moved = word_matrix(s, word) * coords

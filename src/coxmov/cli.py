@@ -156,10 +156,6 @@ def cmd_classify(args) -> int:
 
 def cmd_boundary(args) -> int:
     sys_ = build_system(args.n, args.m, enforce_dimension_bound=True)
-    if args.n < 2:
-        raise CommandError(
-            "the boundary sampling is defined for n >= 2 only; the n = 1 "
-            "systems accumulate differently and are not described here")
     patches = boundary_patches(sys_, args.depth)
     _emit(args, lambda: jsonio.boundary_document(sys_, args.depth, patches),
           lambda plot: plot.render_boundary(sys_, patches))

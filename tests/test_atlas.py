@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 from math import comb
 
@@ -64,6 +65,46 @@ def test_enumerate_chambers_guards(monkeypatch):
     monkeypatch.setenv("COXMOV_WORD_BUDGET", "45")
     with pytest.raises(BudgetError, match="^46 words at depth 4"):
         enumerate_chambers(S23, 4)
+
+
+def test_budget_refusal_is_immediate_at_any_depth():
+    # the exact count at depth 10^9 has about 3 * 10^8 digits: the refusal
+    # must come from the 2^depth lower bound, before any big-int work
+    def too_slow(signum, frame):
+        raise TimeoutError("the budget check did not refuse at once")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 2)
+    try:
+        with pytest.raises(BudgetError, match="budget"):
+            enumerate_chambers(S23, 10 ** 9)
+        # two letters give 1 + 2 * depth words, counted exactly
+        with pytest.raises(BudgetError, match="^2000000001 words at depth"):
+            enumerate_chambers(build_system(3, 2), 10 ** 9)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("budget,depth,message", [
+    # m = 3 gives 3 * 2^depth - 2 words: exact up to 2^64, then a bound
+    (None, 62, "^13835058055282163710 words at depth 62 exceed the budget"
+               " 1000000$"),
+    (None, 63, "^more than 2\\^64 words at depth 63 exceed the budget"
+               " 1000000$"),
+    (None, 10 ** 5, "^more than 2\\^64 words at depth 100000 exceed"),
+    (str(2 ** 70), 70, "^more than 2\\^64 words at depth 70 exceed the budget"
+                       f" {2 ** 70}$"),
+    (str(2 ** 70), 72, "^more than 2\\^64 words at depth 72 exceed"),
+], ids=["exact-62", "bound-63", "deep", "big-budget-70", "big-budget-72"])
+def test_budget_message_is_exact_below_two_to_the_64(monkeypatch, budget,
+                                                     depth, message):
+    if budget is None:
+        monkeypatch.delenv("COXMOV_WORD_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("COXMOV_WORD_BUDGET", budget)
+    with pytest.raises(BudgetError, match=message):
+        enumerate_chambers(S23, depth)
 
 
 def test_word_budget_has_no_per_call_override():

@@ -1,19 +1,23 @@
 import random
+from functools import partial, reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxmov import atlas
-from coxmov.atlas import classify, reduced_words, word_matrix
+from coxmov.atlas import (classify, enumerate_chambers, reduced_words,
+                          word_matrix)
 from coxmov.bir import (BudgetError, GroupElementNF, PairClass, PsiWord,
-                        _letter_nf, _peel, aut_codimension, eigen_pair,
+                        _letter_nf, _peel, _psi_alphabet, _word_count,
+                        _word_rank, _word_unrank, aut_codimension, eigen_pair,
                         flop_pullback, free_reduce, prefix_check, psi_from_t,
                         psi_matrix, psi_word_matrix, reduced_walk,
                         swap_identity_holds, t_normal_form, verify_free)
 from coxmov.coxeter import Permutation, build_system
 from coxmov.exact import QuadExt, quad_roots, squarefree_decompose
 from coxmov.linalg import Matrix, nullspace_vector, primitive_quad_vector
+from coxmov.symmetric import sym_enumerate
 
 S23 = build_system(2, 3)
 S33 = build_system(3, 3)
@@ -397,6 +401,72 @@ def test_reduced_walk_states_are_folds():
     assert len(walk) == 1 + 6 + 30 + 150
     for letters, nf in walk:
         assert nf == t_normal_form(S23, PsiWord(letters))
+
+
+def _t_alphabet(m):
+    letters = range(1, m + 1)
+    return letters, {k: k for k in letters}
+
+
+# the t-letters, the psi-letters and the letters a, b, b^-1 of Z/2 * Z
+ALPHABETS = st.one_of(st.integers(2, 5).map(_t_alphabet),
+                      st.integers(2, 4).map(_psi_alphabet),
+                      st.just(("abB", {"a": "a", "b": "B", "B": "b"})))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(ALPHABETS, st.integers(0, 4))
+def test_rank_and_unrank_follow_the_walk(alphabet_inverse, depth):
+    alphabet, inverse = alphabet_inverse
+    walk = [w for w, _ in reduced_walk(alphabet, inverse, lambda s, x: s,
+                                       None, depth)]
+    assert len(walk) == _word_count(len(alphabet), depth)
+    for index, word in enumerate(walk):
+        assert _word_rank(alphabet, inverse, word) == index
+        assert _word_unrank(alphabet, inverse, index) == word
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(ALPHABETS, st.randoms(use_true_random=False))
+def test_unrank_inverts_rank_at_depth_300(alphabet_inverse, rng):
+    alphabet, inverse = alphabet_inverse
+    word = []
+    for _ in range(300):
+        word.append(rng.choice([x for x in alphabet
+                                if not word or x != inverse[word[-1]]]))
+    index = _word_rank(alphabet, inverse, word)
+    size = len(alphabet)
+    assert _word_count(size, 299) <= index < _word_count(size, 300)
+    assert _word_unrank(alphabet, inverse, index) == tuple(word)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(st.integers(2, 5), st.integers(2, 5), st.integers(-1, 4))
+def test_word_count_is_every_listing_length(n, m, depth):
+    count = _word_count(m, depth)
+    if depth < 0:
+        assert count == 0
+        return
+    assert count == 1 + m * sum((m - 1) ** k for k in range(depth))
+    assert count == len(enumerate_chambers(build_system(n, m), depth))
+    assert _word_count(3, depth) == 3 * 2 ** depth - 2 == \
+        len(sym_enumerate(depth))
+    if m <= 4 and depth <= 3:
+        words = verify_free(build_system(n, m), depth).words_checked
+        assert _word_count(m * (m - 1), depth) == words + 1
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@given(st.integers(2, 4), st.integers(3, 5), st.integers(0, 10 ** 200))
+def test_chamber_of_a_random_index_at_depth_200(n, m, draw):
+    letters, inverse = _t_alphabet(m)
+    first, past = _word_count(m, 199), _word_count(m, 200)
+    index = first + draw % (past - first)
+    word = _word_unrank(letters, inverse, index)
+    assert len(word) == 200 and _word_rank(letters, inverse, word) == index
+    cols = reduce(partial(atlas._t_step, n), word, atlas._identity_columns(m))
+    assert cols == tuple(map(tuple, word_matrix(build_system(n, m),
+                                                word).columns()))
 
 
 def test_psi_from_t_chamber_containment():

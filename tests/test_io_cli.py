@@ -975,9 +975,8 @@ GOLDEN = [
       ' ...\ncoxmov: error: unrecognized arguments: --labels\n'), 2),
     ('boundary --n 1 --m 5 --depth 0', None,
      EMPTY,
-     ('{"error": {"code": 2, "message": "the boundary sampling is d'
-      'efined for n >= 2 only; the n = 1 systems accumulate differe'
-      'ntly and are not described here"}}\n'), 2),
+     ('{"error": {"code": 2, "message": "word operations need n >= 2'
+      ' (for n = 1 the generators satisfy (t_i t_j)^3 = 1)"}}\n'), 2),
     ('symmetric --layer movable --depth 0', None,
      'ead6b465e855e75b781eb38026ccfb81885ec84a843551f35f6a0d7a0148e99b',
      '', 0),
