@@ -301,25 +301,21 @@ def _letter_nf(m: int, i: int, j: int, step: int) -> GroupElementNF:
 
 def t_normal_form(sys: CoxeterSystem, word: PsiWord) -> GroupElementNF:
     """Expand a psi-word into its canonical (reduced t-word, permutation)
-    factorization in one pass, on a stack of t-letters and the image list
+    factorization in one pass, on a list of t-letters and the image list
     of the running permutation sigma: psi_{i,j}^{+-1} = t_a t_b t_a * P(i j)
-    with (a, b) = (i, j) or (j, i) pushes sigma(a), sigma(b), sigma(a), each
-    cancelling an equal top of the stack, then swaps images i and j."""
+    with (a, b) = (i, j) or (j, i) appends sigma(a), sigma(b), sigma(a),
+    then swaps images i and j; ``free_reduce`` cancels the letters."""
     _require_infinite_order(sys)
     m = sys.m
-    stack, images = [], list(range(1, m + 1))
+    letters, images = [], list(range(1, m + 1))
     for (i, j, e) in word.letters:
         if not (1 <= i <= m and 1 <= j <= m):
             raise IndexError(f"generator index out of range 1..{m}")
         a, b = (i - 1, j - 1) if e > 0 else (j - 1, i - 1)
         for _ in range(abs(e)):
-            for k in (images[a], images[b], images[a]):
-                if stack and stack[-1] == k:
-                    stack.pop()
-                else:
-                    stack.append(k)
+            letters += (images[a], images[b], images[a])
             images[a], images[b] = images[b], images[a]
-    return GroupElementNF(tuple(stack), Permutation._of(tuple(images)))
+    return GroupElementNF(free_reduce(letters), Permutation._of(tuple(images)))
 
 
 def psi_word_matrix(sys: CoxeterSystem, word: PsiWord) -> Matrix:

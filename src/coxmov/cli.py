@@ -10,9 +10,9 @@ output error (with an error JSON on stderr), 3 domain failure
 that cannot be opened and a failed write to --out or stdout.  Every
 number in the JSON output is exact at any length, and svg output is
 drawn on a fixed 900x800 viewBox.
-An --out file is checked for writability before any computation; a file
-the run created is removed again when the run fails or writes nothing,
-and an existing one keeps its bytes unless the output is written whole.
+An --out file is checked for writability before any computation, and no
+file is made before the output is whole (a sibling file holding it replaces
+the target), so a failed, empty or killed run leaves none.  --out "" exits 2.
 --labels exists only on chambers and symmetric, whose pictures have labels.
 The only environment knob is COXMOV_WORD_BUDGET (default 10^6), the one cap
 on enumerated words, for the CLI and the library alike.
@@ -54,42 +54,44 @@ def _open_out(path: str, mode: str):
     return open(path, mode, encoding="utf-8", newline="\n")
 
 
-def _claim_out(path: str | None) -> bool:
-    """Fail now if --out cannot be written; True if this creates the file.
+def _claim_out(path: str | None):
+    """Fail now if --out cannot be written; only ``None`` means stdout.
 
-    Append mode leaves an existing file's bytes alone until ``_write``.
+    Append mode leaves an existing file's bytes alone, and a file the
+    check creates is removed at once, so the file system is as it was.
     """
-    if not path:
-        return False
-    created = not os.path.lexists(path)
+    if path is None:
+        return
+    new = not os.path.exists(path)
     try:
         _open_out(path, "a").close()
+        if new:
+            os.remove(os.path.realpath(path))
     except OSError as exc:
         raise CommandError(f"cannot write {path}: {exc.strerror}") from exc
-    return created
 
 
 def _write(text: str, out: str | None):
     """Write ``text`` to the --out file or stdout; a failed write, flush or
     close is a ``CommandError``.
 
-    A regular --out file keeps its bytes until ``text`` is whole: the text
-    goes to a new sibling file with the target's mode bits, which then
-    replaces the target, and is removed again when the write fails.  A
-    device or pipe, or a file whose directory refuses the sibling, is
-    written in place.
+    A regular --out file, new or existing, appears only with the whole
+    ``text``: the text goes to a new sibling file, which then replaces the
+    target (keeping an existing target's mode bits), and is removed again
+    when the write fails.  A device or pipe, or a file whose directory
+    refuses the sibling, is written in place.
     """
     try:
-        if not out:
+        if out is None:
             sys.stdout.write(text)
             sys.stdout.flush()
             return
         path = os.path.realpath(out)
-        mode = os.stat(path).st_mode
+        new = not os.path.exists(path)
         head, tail = os.path.split(path)
         tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
         try:
-            fh = _open_out(tmp, "x") if stat.S_ISREG(mode) else None
+            fh = _open_out(tmp, "x") if new or os.path.isfile(path) else None
         except PermissionError:
             fh = None
         if fh is None:
@@ -98,7 +100,8 @@ def _write(text: str, out: str | None):
             return
         try:
             with fh:
-                os.chmod(tmp, stat.S_IMODE(mode))
+                if not new:
+                    os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
                 fh.write(text)
             os.replace(tmp, path)
         except BaseException:
@@ -109,38 +112,33 @@ def _write(text: str, out: str | None):
             f"cannot write {out or 'stdout'}: {exc.strerror}") from exc
 
 
-def _emit(args, document, render):
-    """Write ``document()`` as JSON, or with --format svg ``render(svgplot)``."""
+def _render(args, document, render) -> str:
+    """``document()`` as JSON, or with --format svg ``render(svgplot)``."""
     if args.format == "json":
-        text = jsonio.dumps(document())
-    else:
-        from . import svgplot
-        text = render(svgplot)
-    _write(text, args.out)
+        return jsonio.dumps(document())
+    from . import svgplot
+    return render(svgplot)
 
 
-def cmd_system(args) -> int:
+def cmd_system(args) -> tuple[int, str]:
     sys_ = build_system(args.n, args.m, enforce_dimension_bound=True)
-    _write(jsonio.dumps(jsonio.system_document(sys_)), args.out)
-    return EXIT_OK
+    return EXIT_OK, jsonio.dumps(jsonio.system_document(sys_))
 
 
-def cmd_chambers(args) -> int:
+def cmd_chambers(args) -> tuple[int, str]:
     sys_ = build_system(args.n, args.m, enforce_dimension_bound=True)
     chambers = enumerate_chambers(sys_, args.depth)
-    _emit(args, lambda: jsonio.chambers_document(sys_, args.depth, chambers),
-          lambda plot: plot.render_chambers(sys_, chambers, args.labels))
-    return EXIT_OK
+    return EXIT_OK, _render(
+        args, lambda: jsonio.chambers_document(sys_, args.depth, chambers),
+        lambda plot: plot.render_chambers(sys_, chambers, args.labels))
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> tuple[int, str | None]:
     sys_ = build_system(args.n, args.m, enforce_dimension_bound=True)
     try:
         coords = tuple(Fraction(part) for part in args.divisor.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise CommandError(f"malformed class string: {exc}") from exc
-    if len(coords) != args.m:
-        raise CommandError(f"expected {args.m} coordinates, got {len(coords)}")
     try:
         result = classify(sys_, coords, max_steps=args.max_steps)
     except ClassificationError as exc:
@@ -148,21 +146,19 @@ def cmd_classify(args) -> int:
                     steps=exc.steps,
                     last_iterate=[jsonio.frac_to_str(x)
                                   for x in exc.last_iterate])
-        return EXIT_DOMAIN
-    _write(jsonio.dumps(jsonio.classify_document(sys_, coords, result)),
-           args.out)
-    return EXIT_OK
+        return EXIT_DOMAIN, None
+    return EXIT_OK, jsonio.dumps(jsonio.classify_document(sys_, coords, result))
 
 
-def cmd_boundary(args) -> int:
+def cmd_boundary(args) -> tuple[int, str]:
     sys_ = build_system(args.n, args.m, enforce_dimension_bound=True)
     patches = boundary_patches(sys_, args.depth)
-    _emit(args, lambda: jsonio.boundary_document(sys_, args.depth, patches),
-          lambda plot: plot.render_boundary(sys_, patches))
-    return EXIT_OK
+    return EXIT_OK, _render(
+        args, lambda: jsonio.boundary_document(sys_, args.depth, patches),
+        lambda plot: plot.render_boundary(sys_, patches))
 
 
-def cmd_symmetric(args) -> int:
+def cmd_symmetric(args) -> tuple[int, str]:
     from . import symmetric
     if args.layer == "movable":
         items = symmetric.sym_enumerate(args.depth)
@@ -170,18 +166,17 @@ def cmd_symmetric(args) -> int:
     else:
         items = symmetric.psef_patches(args.depth)
         picture = "render_symmetric_psef"
-    _emit(args, lambda: jsonio.symmetric_document(args.depth, args.layer, items),
-          lambda plot: getattr(plot, picture)(items, args.labels))
-    return EXIT_OK
+    return EXIT_OK, _render(
+        args, lambda: jsonio.symmetric_document(args.depth, args.layer, items),
+        lambda plot: getattr(plot, picture)(items, args.labels))
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str]:
     from . import checks
     report = checks.run_suites(args.suite, args.n, args.m)
     doc = jsonio.document("verify", {"suite": args.suite, "n": args.n,
                                      "m": args.m}, report)
-    _write(jsonio.dumps(doc), args.out)
-    return EXIT_OK if report["passed"] else 1
+    return (EXIT_OK if report["passed"] else 1), jsonio.dumps(doc)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,19 +264,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_merge_class_flag(argv))
-    created = done = False
     try:
-        created = _claim_out(args.out)
-        code = args.func(args)
-        done = True
+        _claim_out(args.out)
+        code, text = args.func(args)
+        if text is not None:
+            _write(text, args.out)
         return code
     except (CommandError, ValueError) as exc:
         # ours, or parameter errors from the library, BudgetError included
         _emit_error(str(exc), EXIT_USAGE)
         return EXIT_USAGE
-    finally:
-        if created and (not done or os.path.getsize(args.out) == 0):
-            os.remove(args.out)
 
 
 def entrypoint():

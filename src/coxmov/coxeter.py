@@ -18,6 +18,7 @@ H_1, ..., H_m; storage is 0-based internally.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import gcd
 from typing import NamedTuple
@@ -146,15 +147,19 @@ class CoxeterSystem:
             raise ValueError(f"need n >= 1 and m >= 2, got ({n}, {m})")
         self.n = n
         self.m = m
-        half = Fraction(n, 2)
-        self.gram = Matrix([[Fraction(1) if i == j else -half
-                             for j in range(m)] for i in range(m)])
         self.lorentzian = n * (m - 1) > 2
         self._dual_cache: dict[int, Matrix] = {}
         self._quadric: Matrix | None = None
 
     def __repr__(self):
         return f"CoxeterSystem(n={self.n}, m={self.m})"
+
+    @cached_property
+    def gram(self) -> Matrix:
+        """1 on the diagonal, -n/2 off it; built on first read."""
+        off, m = Fraction(-self.n, 2), self.m
+        return Matrix([[Fraction(1) if i == j else off for j in range(m)]
+                       for i in range(m)])
 
     def tau(self, i: int) -> Matrix:
         """Generator matrix in the primal (simple-root) basis."""

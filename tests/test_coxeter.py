@@ -54,6 +54,17 @@ def test_gram_entrywise():
                     assert g.rows[i][j] == expected
 
 
+def test_gram_is_built_on_first_read(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Matrix was built")
+
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    build_system(2, 2000)
+    monkeypatch.undo()
+    s = build_system(2, 3)
+    assert s.gram is s.gram
+
+
 def test_generic_reflections_golden():
     for i in range(1, 4):
         assert reflection_from_gram(GRAM_C2, i) == TAUS_C2[i - 1]

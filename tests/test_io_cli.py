@@ -258,7 +258,7 @@ def test_system_generators_match_matrix_oracle():
 
 def test_system_document_builds_no_generator_matrix(monkeypatch):
     sys = build_system(3, 42)
-    sys.quadric_matrix()    # cached, so no Matrix is left to build
+    sys.gram, sys.quadric_matrix()    # cached, so no Matrix is left to build
 
     def refuse(*args):
         raise AssertionError("a generator went through Matrix")
@@ -478,6 +478,7 @@ def test_cli_classify(capsys):
     code, _, err = run_cli(capsys, "classify", "--n", "2", "--m", "3",
                            "--class", "1,1")
     assert code == 2
+    assert error_payload(err)["message"] == "expected 3 coordinates"
 
 
 @contextlib.contextmanager
@@ -686,6 +687,53 @@ def test_cli_failed_run_leaves_no_out_file(tmp_path, capsys):
                          "--out", str(target))
     assert code == 0
     assert json.loads(target.read_text())["command"] == "system"
+
+
+def test_cli_new_out_file_appears_only_whole(tmp_path, capsys, monkeypatch):
+    # the claim leaves no file behind, so none exists while the command
+    # computes; the file then holds the same bytes as stdout would
+    target = tmp_path / "x.json"
+    seen, real = [], cli.enumerate_chambers
+
+    def enumerate_chambers(*args):
+        seen.append(target.exists())
+        return real(*args)
+
+    monkeypatch.setattr(cli, "enumerate_chambers", enumerate_chambers)
+    argv = ("chambers", "--n", "2", "--m", "3", "--depth", "2")
+    assert run_cli(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert seen == [False]
+    assert target.read_text() == run_cli(capsys, *argv)[1]
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_cli_killed_run_leaves_no_out_file(tmp_path):
+    # a child killed while it computes had no file to remove
+    target = tmp_path / "x.json"
+    probe = ("import sys, time, coxmov.cli as cli\n"
+             "def stall(*args):\n"
+             "    print('computing', file=sys.stderr, flush=True)\n"
+             "    time.sleep(60)\n"
+             "cli.enumerate_chambers = stall\n"
+             "cli.main(sys.argv[1:])\n")
+    src = Path(jsonio.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    with subprocess.Popen([sys.executable, "-c", probe, "chambers", "--n",
+                           "2", "--m", "3", "--out", str(target)], env=env,
+                          stderr=subprocess.PIPE, text=True) as proc:
+        try:
+            assert proc.stderr.readline() == "computing\n"
+        finally:
+            proc.kill()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_empty_out_is_refused(capsys):
+    code, out, err = run_cli(capsys, "system", "--n", "2", "--m", "3",
+                             "--out", "")
+    assert (code, out) == (2, "")
+    assert error_payload(err)["message"] == \
+        "cannot write : No such file or directory"
 
 
 class _DiskFull:
