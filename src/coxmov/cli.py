@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import stat
 import sys
 from fractions import Fraction
@@ -39,6 +40,8 @@ EXIT_DOMAIN = 3
 # checks.SUITE_NAMES + ("all",), spelled out so that building the parser
 # does not import the suites
 SUITE_CHOICES = ("identities", "free", "tiling", "boundary", "symmetric", "all")
+# a class entry Fraction reads as exponent notation, and writes out in full
+_EXPONENT = re.compile(r"(?:^|,)\s*[-+]?\.?\d[\d_.]*e[-+]?\d", re.IGNORECASE)
 
 
 class CommandError(Exception):
@@ -125,8 +128,17 @@ def cmd_system(args) -> tuple[int, str]:
     return EXIT_OK, jsonio.dumps(jsonio.system_document(sys_))
 
 
-def cmd_chambers(args) -> tuple[int, str]:
+def _drawable_system(args):
+    """The system of ``args``, checked for a chart before any svg work."""
     sys_ = build_system(args.n, args.m, enforce_dimension_bound=True)
+    if args.format == "svg":
+        from . import svgplot
+        svgplot._require_chart(sys_)
+    return sys_
+
+
+def cmd_chambers(args) -> tuple[int, str]:
+    sys_ = _drawable_system(args)
     chambers = enumerate_chambers(sys_, args.depth)
     return EXIT_OK, _render(
         args, lambda: jsonio.chambers_document(sys_, args.depth, chambers),
@@ -136,6 +148,8 @@ def cmd_chambers(args) -> tuple[int, str]:
 def cmd_classify(args) -> tuple[int, str | None]:
     sys_ = build_system(args.n, args.m, enforce_dimension_bound=True)
     try:
+        if _EXPONENT.search(args.divisor):
+            raise ValueError(f"exponent notation in {args.divisor!r}")
         coords = tuple(Fraction(part) for part in args.divisor.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise CommandError(f"malformed class string: {exc}") from exc
@@ -151,7 +165,7 @@ def cmd_classify(args) -> tuple[int, str | None]:
 
 
 def cmd_boundary(args) -> tuple[int, str]:
-    sys_ = build_system(args.n, args.m, enforce_dimension_bound=True)
+    sys_ = _drawable_system(args)
     patches = boundary_patches(sys_, args.depth)
     return EXIT_OK, _render(
         args, lambda: jsonio.boundary_document(sys_, args.depth, patches),

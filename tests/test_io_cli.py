@@ -913,6 +913,37 @@ def test_cli_verify_all_with_n_m_bytes(capsys):
         "d08606534351f37d90d1e3e67295854e1e22550260039fb65f7a24b67185b280")
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (("--suite", "identities", "--n", "4", "--m", "7"),
+     "6137c706daf73926ebafcc5ebaf8856261eb7e0296c20dece0a31684d7be6946"),
+    (("--suite", "symmetric"),
+     "348d20da011d9d595810a043f7b636a9ab0546c27928042b28bede40c7082d17"),
+])
+def test_cli_verify_suite_bytes(capsys, argv, digest):
+    # recorded before the suites read their matrices from tables
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_identities_suite_builds_each_matrix_once(monkeypatch):
+    # the default grid has 160 ordered psi pairs and 272 ordered model pairs
+    calls = {"psi_matrix": 0, "flop_pullback": 0}
+
+    def counted(name):
+        oracle = getattr(checks, name)
+
+        def call(*args):
+            calls[name] += 1
+            return oracle(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(checks, name, counted(name))
+    assert checks.run_suites("identities")["passed"]
+    assert calls["psi_matrix"] <= 160 and calls["flop_pullback"] <= 272, calls
+
+
 def test_cli_viewport_and_palette(capsys):
     code, out, _ = run_cli(capsys, "chambers", "--n", "2", "--m", "3",
                            "--depth", "2", "--format", "svg")

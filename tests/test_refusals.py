@@ -2,11 +2,12 @@
 contracts of ``QuadExt`` and ``Matrix`` that the arithmetic relies on."""
 
 import json
+import signal
 from fractions import Fraction
 
 import pytest
 
-from coxmov import bir
+from coxmov import bir, checks, cli
 from coxmov.atlas import classify
 from coxmov.bir import EigenPair, MAX_RADICAND_N, eigen_pair, psi_matrix
 from coxmov.checks import run_suites
@@ -136,3 +137,75 @@ def test_radicand_work_above_the_bound_is_refused_before_factoring(
     assert captured.out == ""
     assert json.loads(captured.err) == {
         "error": {"code": 2, "message": RADICAND_REFUSAL}}
+
+
+INFINITE_ORDER_REFUSAL = ("word operations need n >= 2 (for n = 1 the "
+                          "generators satisfy (t_i t_j)^3 = 1)")
+
+
+@pytest.mark.parametrize("argv,module,name,message", [
+    pytest.param(["chambers", "--n", "2", "--m", "6", "--depth", "8",
+                  "--format", "svg"], cli, "enumerate_chambers",
+                 "svg output needs m = 3", id="chambers-svg"),
+    # over the word budget too: the svg rule is checked first
+    pytest.param(["chambers", "--n", "2", "--m", "4", "--depth", "1000000000",
+                  "--format", "svg"], cli, "enumerate_chambers",
+                 "svg output needs m = 3", id="chambers-svg-over-budget"),
+    pytest.param(["boundary", "--n", "3", "--m", "6", "--depth", "4",
+                  "--format", "svg"], cli, "boundary_patches",
+                 "svg output needs m = 3", id="boundary-svg"),
+    pytest.param(["verify", "--suite", "all", "--n", "1", "--m", "7"],
+                 checks.SUITES, "identities", INFINITE_ORDER_REFUSAL,
+                 id="verify-all-n1-m7"),
+    pytest.param(["verify", "--suite", "all", "--n", "1"], checks.SUITES,
+                 "identities", INFINITE_ORDER_REFUSAL, id="verify-all-n1"),
+])
+def test_refusal_comes_before_the_work(monkeypatch, capsys, argv, module,
+                                       name, message):
+    ran = []
+
+    def unreachable(*args, **kwargs):
+        ran.append(name)
+        raise AssertionError(f"{name} ran before the refusal")
+
+    if isinstance(module, dict):
+        monkeypatch.setitem(module, name, unreachable)
+    else:
+        monkeypatch.setattr(module, name, unreachable)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, ran) == ("", [])
+    assert json.loads(captured.err) == {"error": {"code": 2,
+                                                  "message": message}}
+
+
+def test_identities_suite_alone_still_runs_n_1():
+    report = run_suites("identities", 1, 3)
+    assert report["passed"] and len(report["suites"]) == 1
+
+
+@pytest.mark.parametrize("cls", ["1,1e-1000000,1", "1E2,1,1", "1,1,2.5e3",
+                                 "-1e0,1,1", "1, .5e+1_0,1", "1_0.e3,1,1"])
+def test_classify_refuses_exponent_notation_at_once(capsys, cls):
+    # Fraction reads 1e-1000000 as a million-digit denominator, past the
+    # 4300-digit limit that long digit strings meet
+    def too_slow(signum, frame):
+        raise TimeoutError("an exponent entry was not refused at once")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 2)
+    try:
+        code = main(["classify", "--n", "2", "--m", "3", f"--class={cls}"])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert json.loads(captured.err)["error"]["message"] == (
+        f"malformed class string: exponent notation in {cls!r}")
+
+
+def test_classify_reads_integers_fractions_and_decimals(capsys):
+    assert main(["classify", "--n", "2", "--m", "3", "--class=2,1/2,0.25"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["params"]["class"] == ["2", "1/2", "1/4"]
