@@ -23,7 +23,7 @@ and is skipped; for n >= 3 every item is kept.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from math import lcm
 from operator import mul
 from typing import NamedTuple
@@ -38,10 +38,8 @@ DEFAULT_MAX_STEPS = 1000
 
 
 def word_matrix(sys: CoxeterSystem, letters) -> Matrix:
-    out = Matrix.identity(sys.m)
-    for k in letters:
-        out = out * sys.t(k)
-    return out
+    factors = [sys.t(k) for k in letters]
+    return reduce(mul, factors) if factors else Matrix.identity(sys.m)
 
 
 def _t_step(n: int, cols, k: int):

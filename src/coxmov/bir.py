@@ -20,7 +20,9 @@ from __future__ import annotations
 import os
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import mul
 from typing import NamedTuple
 
 from .coxeter import CoxeterSystem, Permutation, perm_matrix
@@ -319,11 +321,9 @@ def t_normal_form(sys: CoxeterSystem, word: PsiWord) -> GroupElementNF:
 
 
 def psi_word_matrix(sys: CoxeterSystem, word: PsiWord) -> Matrix:
-    out = Matrix.identity(sys.m)
-    for (i, j, step) in word.single_letters():
-        a, b = (i, j) if step > 0 else (j, i)
-        out = out * psi_matrix(sys, a, b)
-    return out
+    factors = [psi_matrix(sys, i, j) if step > 0 else psi_matrix(sys, j, i)
+               for i, j, step in word.single_letters()]
+    return reduce(mul, factors) if factors else Matrix.identity(sys.m)
 
 
 def _peel(w: tuple[int, ...], m: int):

@@ -56,6 +56,20 @@ def _sign(a, b, d: int) -> int:
     return sa if sa == sb or t > 0 else (sb if t < 0 else 0)
 
 
+def _power(x, k: int):
+    """x ** k for k >= 1 by square-and-multiply from x itself: one
+    squaring per bit after the top one and one product by x per further
+    set bit, k.bit_length() + k.bit_count() - 2 products in all.  Both
+    exact types, ``QuadExt`` and ``linalg.Matrix``, take their powers here.
+    """
+    out = x
+    for bit in bin(k)[3:]:
+        out = out * out
+        if bit == "1":
+            out = out * x
+    return out
+
+
 @total_ordering
 class QuadExt:
     """An element a + b*sqrt(d) of the real quadratic field Q(sqrt(d)).
@@ -178,14 +192,7 @@ class QuadExt:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out = QuadExt(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k) if k else QuadExt(1)
 
     # -- exact ordering (<=, > and >= from __lt__ and __eq__) ----------
 

@@ -5,7 +5,8 @@ inputs are promoted) or ``QuadExt``; every operation is exact.  Sizes here
 are tiny (the Picard rank m), so two textbook algorithms with exact
 division do all the work: Gauss-Jordan elimination (``_row_reduce``) for
 ``det``, ``inverse`` and ``nullspace_vector``, and the Faddeev-LeVerrier
-recursion for ``charpoly``, whose coefficients give ``signature`` by
+recursion for ``charpoly`` (it starts at A and adds each coefficient
+c_k on the diagonal of A*M_k), whose coefficients give ``signature`` by
 Descartes' rule of signs.
 
 Products (``Matrix * Matrix`` and ``Matrix * vector``) of rational operands
@@ -25,7 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .exact import QuadExt, _sign
+from .exact import QuadExt, _power, _sign
 
 
 def _norm_entry(e):
@@ -190,14 +191,7 @@ class Matrix:
             raise ValueError("power of a non-square matrix")
         if k < 0:
             return self.inverse() ** (-k)
-        out = Matrix.identity(self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k) if k else Matrix.identity(self.nrows)
 
     # -- elimination-based operations --------------------------------------
 
@@ -223,23 +217,22 @@ class Matrix:
     def charpoly(self) -> tuple:
         """Monic characteristic polynomial, constant coefficient first.
 
-        Faddeev-LeVerrier recursion: exact over the rationals, no
-        eigensolves, no fraction-free bookkeeping needed at this size.
+        Faddeev-LeVerrier recursion, exact over the rationals: it starts
+        at A*M_1 = A, each coefficient is c = -tr(A*M_k)/k, and A*M_{k+1}
+        is A times A*M_k with c added on its diagonal, so an n x n matrix
+        takes n - 1 products and no identity matrix.
         """
         if not self.is_square:
             raise ValueError("characteristic polynomial of a non-square matrix")
-        n = self.nrows
         coeffs = [Fraction(1)]          # descending powers: x^n first
-        mk = Matrix.identity(n)
-        for k in range(1, n + 1):
-            am = self * mk
-            trace = am.rows[0][0]
-            for i in range(1, n):
-                trace = trace + am.rows[i][i]
-            ck = -(trace / k)
+        am = self
+        for k in range(1, self.nrows + 1):
+            ck = -(sum(row[i] for i, row in enumerate(am.rows)) / k)
             coeffs.append(ck)
-            if k < n:
-                mk = am + Matrix.identity(n) * ck
+            if k < self.nrows:
+                am = self * Matrix._of(tuple(
+                    row[:i] + (row[i] + ck,) + row[i + 1:]
+                    for i, row in enumerate(am.rows)))
         return tuple(reversed(coeffs))
 
     def signature(self) -> tuple[int, int, int]:

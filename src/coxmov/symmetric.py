@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, reduce
+from operator import mul
 from typing import NamedTuple
 
 from .atlas import isotropy_value
@@ -111,11 +112,10 @@ class SymWord(NamedTuple):
 
     def matrix(self) -> Matrix:
         gens = _generator_table()
-        out = Matrix.identity(3)
-        for gen, k in self.syllables:
-            out = out * (gens["a"] if gen == "a"
-                         else gens["b" if k > 0 else "B"] ** abs(k))
-        return out
+        factors = [gens["a"] if gen == "a"
+                   else gens["b" if k > 0 else "B"] ** abs(k)
+                   for gen, k in self.syllables]
+        return reduce(mul, factors) if factors else Matrix.identity(3)
 
     def spell(self) -> str:
         if not self.syllables:

@@ -449,3 +449,98 @@ def test_transpose_and_columns():
     assert (mat.transpose().nrows, mat.transpose().ncols) == (3, 2)
     assert_entry_types((x for col in mat.columns() for x in col), False)
     assert mat.transpose().transpose() == mat
+
+
+# -- powers and the characteristic polynomial against repeated products -------
+
+def count_calls(monkeypatch, owner, name, wrap=lambda f: f):
+    """Patch ``owner.name`` to count its calls; return the call list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, wrap(counting))
+    return calls
+
+
+def test_power_products_follow_the_bits_of_k(monkeypatch):
+    mat = Matrix([[1, Fraction(1, 2)], [-1, 3]])
+    scalar = QuadExt(1, 1, 2)
+    mat_muls = count_calls(monkeypatch, Matrix, "__mul__")
+    quad_muls = count_calls(monkeypatch, QuadExt, "__mul__")
+    identities = count_calls(monkeypatch, Matrix, "identity", staticmethod)
+    for k in range(1, 41):
+        mat_muls.clear()
+        quad_muls.clear()
+        mat ** k
+        scalar ** k
+        assert len(mat_muls) == len(quad_muls) == (k.bit_length()
+                                                   + k.bit_count() - 2)
+    assert not identities
+    assert (mat ** 0).rows == ((1, 0), (0, 1)) and len(identities) == 1
+
+
+def test_charpoly_makes_n_minus_1_products(monkeypatch):
+    muls = count_calls(monkeypatch, Matrix, "__mul__")
+    identities = count_calls(monkeypatch, Matrix, "identity", staticmethod)
+    rng = random.Random(42)
+    for n in range(1, 8):
+        a = Matrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+        muls.clear()
+        a.charpoly()
+        assert len(muls) == n - 1
+    assert not identities
+
+
+def test_verify_all_product_count(monkeypatch):
+    from coxmov import linalg
+    from coxmov.checks import run_suites
+    products = count_calls(monkeypatch, linalg, "_product")
+    assert run_suites("all")["passed"]
+    assert len(products) <= 5007
+
+
+@st.composite
+def power_bases(draw):
+    """A rational or quadratic-field scalar or square matrix (size 1-3),
+    with the unit of its ring."""
+    d = draw(st.sampled_from((2, 5)))
+    entries = draw(st.sampled_from((FRACTIONS, quad_entries(d))))
+    if draw(st.booleans()):
+        x = draw(entries)
+        return (x if isinstance(x, QuadExt) else QuadExt(x)), QuadExt(1)
+    n = draw(st.integers(1, 3))
+    return Matrix(grid(draw, entries, n, n)), Matrix.identity(n)
+
+
+def is_invertible(x):
+    return leibniz_det(x) != 0 if isinstance(x, Matrix) else x != 0
+
+
+@settings(FIXED, max_examples=40)
+@given(power_bases(), st.integers(0, 12))
+def test_power_is_the_left_fold_of_its_factors(case, k):
+    x, unit = case
+    assert x ** k == reduce(mul, [x] * k, unit)
+    if is_invertible(x):
+        assert x ** -k * x ** k == unit
+
+
+@st.composite
+def square_matrices(draw):
+    """An n x n integer or rational matrix, n = 1-6."""
+    n = draw(st.integers(1, 6))
+    return Matrix(grid(draw, draw(st.sampled_from((INTS, FRACTIONS))), n, n))
+
+
+@settings(FIXED, max_examples=40)
+@given(square_matrices())
+def test_charpoly_meets_det_trace_and_cayley_hamilton(a):
+    n, coeffs = a.nrows, a.charpoly()
+    assert len(coeffs) == n + 1 and coeffs[n] == 1
+    assert coeffs[0] == (-1) ** n * leibniz_det(a)
+    assert coeffs[n - 1] == -sum(a.rows[i][i] for i in range(n))
+    assert poly_eval_matrix(coeffs, a) == Matrix.zeros(n)
