@@ -7,10 +7,8 @@ This module enumerates that tiling, classifies divisor classes to a marked
 minimal model by walking back to the fundamental region, and samples the
 boundary; apexes over Q(sqrt(d)) and the sum-one chart run on integer pairs.
 
-Every t-word listing walks the m integer columns of the word matrix:
-t_k is the identity with column k replaced by (n, ..., n, -1, n, ..., n),
-so appending t_k rewrites column k only, to n*(rowsum - col_k) - col_k.
-These matrices have determinant +-1, so their columns are primitive rays.
+Every t-word listing walks the m integer columns of the word matrix, one
+``coxeter._t_step`` per letter (the column rule is in ``coxeter``).
 
 ``classify`` walks a class as the integer vector D*v, D its common
 denominator: t_i negates v_i and adds n*v_i to every other coordinate.
@@ -30,7 +28,8 @@ from typing import NamedTuple
 
 from .bir import (GroupElementNF, PsiWord, _eigen_vectors, _peel,
                   _require_infinite_order, reduced_walk, t_normal_form)
-from .coxeter import CoxeterSystem, Permutation
+from .coxeter import (CoxeterSystem, Permutation, _identity_columns,
+                      _t_step)
 from .exact import QuadExt
 from .linalg import Matrix, _primitive_pair, dot
 
@@ -40,17 +39,6 @@ DEFAULT_MAX_STEPS = 1000
 def word_matrix(sys: CoxeterSystem, letters) -> Matrix:
     factors = [sys.t(k) for k in letters]
     return reduce(mul, factors) if factors else Matrix.identity(sys.m)
-
-
-def _t_step(n: int, cols, k: int):
-    """The columns of W * t_k from those of W (see the module docstring)."""
-    rowsums = map(sum, zip(*cols))
-    new = tuple(n * (s - c) - c for s, c in zip(rowsums, cols[k - 1]))
-    return cols[:k - 1] + (new,) + cols[k:]
-
-
-def _identity_columns(m: int):
-    return tuple(tuple(int(r == c) for r in range(m)) for c in range(m))
 
 
 def _t_columns(sys: CoxeterSystem, depth: int):

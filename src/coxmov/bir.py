@@ -364,10 +364,10 @@ def psi_from_t(sys: CoxeterSystem, letters) -> PsiWord:
     region under the psi-word.
     """
     _require_infinite_order(sys)
-    w = free_reduce(letters)
-    if w and not (1 <= min(w) and max(w) <= sys.m):
+    letters = tuple(letters)
+    if letters and not (1 <= min(letters) and max(letters) <= sys.m):
         raise IndexError(f"t-letter out of range 1..{sys.m}")
-    return PsiWord(_peel(w, sys.m)[0])
+    return PsiWord(_peel(free_reduce(letters), sys.m)[0])
 
 
 def prefix_check(sys: CoxeterSystem, word: PsiWord) -> bool:
@@ -397,16 +397,10 @@ def verify_free(sys: CoxeterSystem, depth: int) -> FreeReport:
     m = sys.m
     gens, inverse = _psi_alphabet(m)
     nf_gens = {g: _letter_nf(m, *g) for g in gens}
-    seen = set()
-    collisions = 0
-    for _, nf in reduced_walk(gens, inverse, lambda nf, g: nf * nf_gens[g],
-                              GroupElementNF.identity(m), depth):
-        key = (nf.letters, nf.perm.images)
-        if key in seen:
-            collisions += 1
-        else:
-            seen.add(key)
-    return FreeReport(len(seen) + collisions - 1, collisions)
+    keys = [(nf.letters, nf.perm.images) for _, nf in reduced_walk(
+        gens, inverse, lambda nf, g: nf * nf_gens[g],
+        GroupElementNF.identity(m), depth)]
+    return FreeReport(len(keys) - 1, len(keys) - len(set(keys)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ Each suite runs a family of exact identities on a default parameter grid
 and reports one record per identity, carrying the formula being checked,
 the parameters, and the outcome.  Everything asserts exact equalities;
 there are no tolerances anywhere.  Each suite builds the matrices it checks
-once per system, and every identity reads them from its tables.
+once per system, and every identity reads them from its tables.  They read
+what production runs: t_k is the column step ``coxeter._t_step`` of every
+t-word listing, checked against tau_k^T from the Gram matrix, and the Z/2 * Z
+``free-product`` check reads the pairs of ``symmetric._sym_walk``.
 """
 
 from __future__ import annotations
@@ -208,10 +211,10 @@ def suite_tiling(n=2, m=3) -> dict:
         word = _random_reduced(rng, letters, inverse, rng.randint(0, 6))
         coords = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 4))
                        for _ in range(m))
-        moved = word_matrix(s, word) * coords
+        mat = word_matrix(s, word)
+        moved = mat * coords
         res = classify(s, moved)
-        back = word_matrix(s, res.t_word) * res.nef_coords
-        ok = ok and back == moved and res.t_word == word
+        ok = ok and res.t_word == word and mat * res.nef_coords == moved
     checks.append(_check(
         "roundtrip", "classify(w * c) reconstructs w and c exactly",
         {"n": n, "m": m, "samples": 100}, ok))
@@ -304,17 +307,17 @@ def suite_symmetric() -> dict:
         and isotropy_value(s, d2) * interior < 0))
 
     quad = sym.sym_fundamental_domain()
-    a_quad = {tuple(int(x) for x in (a * r)) for r in quad}
+    a_quad = {a * r for r in quad}
     hexagon = {r for ch in fundamental_domain(s) for r in ch.rays}
     checks.append(_check(
         "half-union", "Pi together with a.Pi spans the hexagon vertex set",
         {}, set(quad) | a_quad == hexagon))
 
-    words = list(sym.sym_words(SYMMETRIC_DEPTH))
+    walk = list(sym._sym_walk(SYMMETRIC_DEPTH))
     checks.append(_check(
         "free-product", "distinct reduced words in Z/2 * Z have distinct matrices",
-        {"depth": SYMMETRIC_DEPTH, "words": len(words)},
-        len({w.matrix() for w in words}) == len(words)))
+        {"depth": SYMMETRIC_DEPTH, "words": len(walk)},
+        len({mat for _, mat in walk}) == len(walk)))
 
     cones = sym.sym_enumerate(4)  # the overlap test is quadratic in cones
     ok = True

@@ -11,6 +11,12 @@ G = (1 + n/2)*I - (n/2)*J (J all ones) has eigenvalues 1 + n/2 > 0 and
 1 - n(m-1)/2, so it has signature (m-1, 1, 0) iff n(m-1) > 2, is singular iff
 n(m-1) = 2, and else has an inverse proportional to (2 - n(m-1))*I + n*J.
 
+t_k is the identity with column k replaced by (n, ..., n, -1, n, ..., n),
+so appending t_k to a word rewrites column k of its matrix only, to
+n*(rowsum - col_k) - col_k: ``_t_step``, the one construction of t_k,
+behind ``CoxeterSystem.t`` and every t-word listing.  These matrices have
+determinant +-1, so their columns are primitive rays.
+
 Interfaces are 1-based throughout, matching the hyperplane classes
 H_1, ..., H_m; storage is 0-based internally.
 """
@@ -54,9 +60,8 @@ class Permutation(NamedTuple("Permutation", [("images", tuple[int, ...])])):
 
     @staticmethod
     def transposition(m: int, i: int, j: int) -> "Permutation":
-        imgs = list(range(1, m + 1))
-        imgs[i - 1], imgs[j - 1] = j, i
-        return Permutation(tuple(imgs))
+        """The 2-cycle (i j); i == j raises like ``from_cycle``."""
+        return Permutation.from_cycle(m, (i, j))
 
     @staticmethod
     def from_cycle(m: int, cycle) -> "Permutation":
@@ -97,6 +102,17 @@ class Permutation(NamedTuple("Permutation", [("images", tuple[int, ...])])):
         """(-1) to the number of inversions."""
         inversions = sum(a > b for a, b in combinations(self.images, 2))
         return -1 if inversions % 2 else 1
+
+
+def _t_step(n: int, cols, k: int):
+    """The columns of W * t_k from those of W (see the module docstring)."""
+    rowsums = map(sum, zip(*cols))
+    new = tuple(n * (s - c) - c for s, c in zip(rowsums, cols[k - 1]))
+    return cols[:k - 1] + (new,) + cols[k:]
+
+
+def _identity_columns(m: int):
+    return tuple(tuple(int(r == c) for r in range(m)) for c in range(m))
 
 
 def perm_matrix(sigma: Permutation) -> Matrix:
@@ -149,7 +165,6 @@ class CoxeterSystem:
         self.m = m
         self.lorentzian = n * (m - 1) > 2
         self._dual_cache: dict[int, Matrix] = {}
-        self._quadric: Matrix | None = None
 
     def __repr__(self):
         return f"CoxeterSystem(n={self.n}, m={self.m})"
@@ -166,15 +181,13 @@ class CoxeterSystem:
         return reflection_from_gram(self.gram, i)
 
     def t(self, i: int) -> Matrix:
-        """Generator matrix in the dual basis: identity with column i
-        replaced by (n, ..., n, -1, n, ..., n)^T."""
+        """Generator matrix in the dual basis: ``_t_step`` on the
+        identity's columns (see the module docstring)."""
+        if i not in range(1, self.m + 1):
+            raise IndexError(f"generator index {i} out of range 1..{self.m}")
         if i not in self._dual_cache:
-            m, n = self.m, self.n
-            if not 1 <= i <= m:
-                raise IndexError(f"generator index {i} out of range 1..{m}")
-            self._dual_cache[i] = Matrix(
-                [[(-1 if r == i else n) if c == i else int(r == c)
-                  for c in range(1, m + 1)] for r in range(1, m + 1)])
+            self._dual_cache[i] = Matrix.from_columns(
+                _t_step(self.n, _identity_columns(self.m), i))
         return self._dual_cache[i]
 
     def quadric_matrix(self) -> Matrix:
@@ -184,17 +197,19 @@ class CoxeterSystem:
         with d = 2 - n(m-2) this is s*(d*I + n*(J - I)) / gcd(d, n), where
         s = -1 if d < 0 and +1 otherwise: the standard basis rays evaluate
         >= 0, and the all-ones vector > 0 when d = 0.  Raises
-        ValueError("singular matrix") when n(m-1) = 2.
+        ValueError("singular matrix") when n(m-1) = 2, on every call.
         """
-        if self._quadric is None:
-            n, m = self.n, self.m
-            if n * (m - 1) == 2:
-                raise ValueError("singular matrix")
-            d = 2 - n * (m - 2)
-            g = gcd(d, n) * (-1 if d < 0 else 1)
-            self._quadric = Matrix([[(d if r == c else n) // g for c in range(m)]
-                                    for r in range(m)])
         return self._quadric
+
+    @cached_property
+    def _quadric(self) -> Matrix:
+        n, m = self.n, self.m
+        if n * (m - 1) == 2:
+            raise ValueError("singular matrix")
+        d = 2 - n * (m - 2)
+        g = gcd(d, n) * (-1 if d < 0 else 1)
+        return Matrix([[(d if r == c else n) // g for c in range(m)]
+                       for r in range(m)])
 
     def gram_eigen_check(self) -> bool:
         """Exact verification of the two eigenvalue families of the Gram

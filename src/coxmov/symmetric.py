@@ -21,7 +21,7 @@ from functools import cache, reduce
 from operator import mul
 from typing import NamedTuple
 
-from .atlas import isotropy_value
+from .atlas import Chamber, isotropy_value
 from .bir import psi_matrix, reduced_walk
 from .coxeter import CoxeterSystem, Permutation, build_system, perm_matrix
 from .linalg import Matrix, dot, primitive_int_vector
@@ -173,11 +173,8 @@ class SymChamber(NamedTuple):
     word: SymWord
     rays: tuple[tuple[int, ...], ...]     # cyclic order preserved
 
-    def ray_key(self):
-        return tuple(sorted(self.rays))
-
-    def interior_point(self) -> tuple[int, ...]:
-        return tuple(sum(r[k] for r in self.rays) for k in range(3))
+    ray_key = Chamber.ray_key
+    interior_point = Chamber.interior_point
 
 
 def sym_enumerate(depth: int) -> list[SymChamber]:

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coxmov.linalg
-from coxmov import checks, cli, jsonio
+from coxmov import checks, cli, coxeter, jsonio
 from coxmov.atlas import (ClassificationError, boundary_patches, classify,
                           enumerate_chambers, fundamental_domain)
 from coxmov.bir import PsiWord
@@ -27,6 +27,7 @@ from coxmov.cli import main
 from coxmov.coxeter import CoxeterSystem, build_system
 from coxmov.exact import QuadExt
 from coxmov.linalg import Matrix
+from coxmov.symmetric import SymWord
 
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "schema"
@@ -942,6 +943,34 @@ def test_identities_suite_builds_each_matrix_once(monkeypatch):
         monkeypatch.setattr(checks, name, counted(name))
     assert checks.run_suites("identities")["passed"]
     assert calls["psi_matrix"] <= 160 and calls["flop_pullback"] <= 272, calls
+
+
+def test_identities_suite_checks_the_production_column_step(monkeypatch):
+    # t_k is built only by coxeter._t_step, so a wrong step fails verify
+    step = coxeter._t_step
+
+    def flipped(n, cols, k):
+        cols = step(n, cols, k)
+        col = list(cols[k - 1])
+        col[k - 1] = -col[k - 1]
+        return cols[:k - 1] + (tuple(col),) + cols[k:]
+
+    monkeypatch.setattr(coxeter, "_t_step", flipped)
+    report = checks.run_suites("identities")
+    failed = {c["name"] for c in report["suites"][0]["checks"]
+              if not c["passed"]}
+    assert not report["passed"]
+    assert {"involution", "dual-transpose", "reflection-determinant",
+            "charpoly", "psi-inverse", "psi-determinant"} <= failed
+
+
+def test_symmetric_suite_reads_the_production_walk(monkeypatch):
+    # the free-product check reads symmetric._sym_walk, not SymWord.matrix
+    def refuse(self):
+        raise AssertionError("SymWord.matrix called")
+
+    monkeypatch.setattr(SymWord, "matrix", refuse)
+    assert checks.run_suites("symmetric")["passed"]
 
 
 def test_cli_viewport_and_palette(capsys):

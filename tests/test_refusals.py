@@ -36,6 +36,11 @@ REFUSALS = [
                  ValueError, "degree mismatch", id="perm-degree"),
     pytest.param(lambda: S23.t(0), IndexError,
                  "generator index 0 out of range 1..3", id="t-index"),
+    pytest.param(lambda: build_system(2, 3).t(1.5), IndexError,
+                 "generator index 1.5 out of range 1..3",
+                 id="t-index-non-integer"),
+    pytest.param(lambda: Permutation.transposition(3, 2, 2), ValueError,
+                 "repeated entry in cycle", id="transposition-repeat"),
     pytest.param(lambda: QuadExt(1, 1, -2), ValueError,
                  "negative radicand", id="quadext-radicand"),
     pytest.param(lambda: QuadExt(0).inverse(), ZeroDivisionError,
