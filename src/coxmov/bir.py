@@ -148,7 +148,7 @@ def flop_pullback(sys: CoxeterSystem, i: int, j: int) -> Matrix:
     t_j * P(cycle(i+1..j))^{-1}, for i > j it is t_{j+1} * P(cycle(j+1..i)).
     """
     m = sys.m
-    if not (0 <= i <= m and 0 <= j <= m):
+    if i not in range(m + 1) or j not in range(m + 1):
         raise IndexError(f"model index out of range 0..{m}")
     if i == j:
         raise ValueError("flop needs two distinct models")
@@ -164,7 +164,7 @@ def psi_matrix(sys: CoxeterSystem, i: int, j: int) -> Matrix:
     t_i * t_j * t_i * P(i j).  Valid for either order of the indices;
     psi_{j,i} is the inverse of psi_{i,j}."""
     m = sys.m
-    if not (1 <= i <= m and 1 <= j <= m):
+    if i not in range(1, m + 1) or j not in range(1, m + 1):
         raise IndexError(f"generator index out of range 1..{m}")
     if i == j:
         raise ValueError("generator needs two distinct indices")
@@ -221,10 +221,7 @@ class GroupElementNF(NamedTuple):
             tuple(inv.images[k - 1] for k in reversed(self.letters)), inv)
 
     def matrix(self, sys: CoxeterSystem) -> Matrix:
-        out = perm_matrix(self.perm)
-        for k in reversed(self.letters):
-            out = sys.t(k) * out
-        return out
+        return reduce(mul, [*map(sys.t, self.letters), perm_matrix(self.perm)])
 
     @property
     def t_length(self) -> int:
@@ -321,8 +318,10 @@ def t_normal_form(sys: CoxeterSystem, word: PsiWord) -> GroupElementNF:
 
 
 def psi_word_matrix(sys: CoxeterSystem, word: PsiWord) -> Matrix:
-    factors = [psi_matrix(sys, i, j) if step > 0 else psi_matrix(sys, j, i)
-               for i, j, step in word.single_letters()]
+    """One ``psi_matrix`` per syllable psi_{i,j}^e: psi_{i,j} to the e for
+    e > 0 and psi_{j,i} to the -e for e < 0, so no inverse is taken."""
+    factors = [psi_matrix(sys, i, j) ** e if e > 0
+               else psi_matrix(sys, j, i) ** -e for i, j, e in word.letters]
     return reduce(mul, factors) if factors else Matrix.identity(sys.m)
 
 
@@ -455,7 +454,7 @@ def eigen_pair(sys: CoxeterSystem, i: int, j: int):
     if i == j:
         raise ValueError("need two distinct indices")
     n, m = sys.n, sys.m
-    if not (1 <= i <= m and 1 <= j <= m):
+    if i not in range(1, m + 1) or j not in range(1, m + 1):
         raise IndexError(f"generator index out of range 1..{m}")
     if n == 1:
         return PairClass.FINITE_ORDER

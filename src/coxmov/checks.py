@@ -4,10 +4,12 @@ Each suite runs a family of exact identities on a default parameter grid
 and reports one record per identity, carrying the formula being checked,
 the parameters, and the outcome.  Everything asserts exact equalities;
 there are no tolerances anywhere.  Each suite builds the matrices it checks
-once per system, and every identity reads them from its tables.  They read
-what production runs: t_k is the column step ``coxeter._t_step`` of every
-t-word listing, checked against tau_k^T from the Gram matrix, and the Z/2 * Z
-``free-product`` check reads the pairs of ``symmetric._sym_walk``.
+once per system, products t_i*t_j and a*b included, and every identity reads
+them from its tables; the Q(sqrt(d)) checks multiply rational matrices by
+exact quadratic-field vectors as they are.  They read what production runs:
+t_k is the column step ``coxeter._t_step`` of every t-word listing, checked
+against tau_k^T from the Gram matrix, and the Z/2 * Z ``free-product`` check
+reads the pairs of ``symmetric._sym_walk``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .bir import (PsiWord, _psi_alphabet, _require_infinite_order,
                   flop_pullback, prefix_check, psi_matrix,
                   swap_identity_holds, verify_free)
 from .coxeter import Permutation, build_system, perm_matrix
-from .exact import QuadExt
 from .linalg import Matrix
 
 GRID_N = (1, 2, 3, 4)
@@ -56,6 +57,7 @@ def suite_identities(n=None, m=None) -> dict:
             # every matrix the checks read, built once per system
             t = {i: s.t(i) for i in idx}
             tau = {i: s.tau(i) for i in idx}
+            tt = {(i, j): t[i] * t[j] for (i, j) in pairs}
             psi = {(i, j): psi_matrix(s, i, j)
                    for i in idx for j in idx if i != j}
             flop = {(a, b): flop_pullback(s, a, b)
@@ -78,13 +80,13 @@ def suite_identities(n=None, m=None) -> dict:
             checks.append(_check(
                 "charpoly", "charpoly(t_i*t_j) == (x-1)^(m-2)*(x^2-(n^2-2)*x+1)",
                 params,
-                all((t[i] * t[j]).charpoly() == charpoly for (i, j) in pairs)))
+                all(tt[p].charpoly() == charpoly for p in pairs)))
             checks.append(_check(
                 "psi-inverse", "psi_{i,j} * psi_{j,i} == I", params,
                 all(psi[i, j] * psi[j, i] == ident for (i, j) in pairs)))
             checks.append(_check(
                 "psi-square", "psi_{i,j}^2 == (t_i*t_j)^3", params,
-                all(psi[i, j] ** 2 == (t[i] * t[j]) ** 3 for (i, j) in pairs)))
+                all(psi[p] ** 2 == tt[p] ** 3 for p in pairs)))
             checks.append(_check(
                 "psi-determinant", "det(psi_{i,j}) == 1", params,
                 all(psi[i, j].det() == 1 for (i, j) in pairs)))
@@ -102,7 +104,7 @@ def suite_identities(n=None, m=None) -> dict:
             if nn == 1:
                 checks.append(_check(
                     "braid-order", "(t_i*t_j)^3 == I for n == 1", params,
-                    all((t[i] * t[j]) ** 3 == ident for (i, j) in pairs)))
+                    all(tt[p] ** 3 == ident for p in pairs)))
             try:
                 qhat = s.quadric_matrix()
             except ValueError:
@@ -235,10 +237,8 @@ def suite_boundary(n=3, m=3) -> dict:
         for i in range(1, m + 1):
             for j in range(i + 1, m + 1):
                 data = eigen_pair(s, i, j)
-                prod = s.t(i) * s.t(j)
-                lifted = prod.map(QuadExt)
                 lam_ok = lam_ok and data.value > 1
-                lam_ok = lam_ok and lifted * data.vector == tuple(
+                lam_ok = lam_ok and s.t(i) * s.t(j) * data.vector == tuple(
                     data.value * x for x in data.vector)
         checks.append(_check(
             "eigen-pair", "(t_i*t_j) v == lambda v with lambda > 1 exactly",
@@ -267,10 +267,7 @@ def _convergence_check(s) -> bool:
     for _ in range(1, 6):
         point = psi * point
         hat = project_affine(point)
-        dist = QuadExt(0)
-        for a, b in zip(hat, target):
-            diff = QuadExt(a) - b
-            dist = dist + diff * diff
+        dist = sum((a - b) * (a - b) for a, b in zip(hat, target))
         if prev is not None and not dist < prev:
             return False
         prev = dist
@@ -280,14 +277,14 @@ def _convergence_check(s) -> bool:
 def suite_symmetric() -> dict:
     checks = []
     a, b = sym.sym_generators()
-    ident = Matrix.identity(3)
+    ab, ident = a * b, Matrix.identity(3)
     checks.append(_check("involution", "a^2 == I", {}, a * a == ident))
     checks.append(_check(
         "relation", "a*b*a equals the map through models 2 and 3", {},
         sym.sym_relation_check()))
     checks.append(_check(
         "infinite-order", "(a*b)^k != I for k <= 12", {},
-        all((a * b) ** k != ident for k in range(1, 13))))
+        all(ab ** k != ident for k in range(1, 13))))
 
     d1, d2 = sym.d_classes()
     l_e3 = sym.tangent_line((0, 0, 1))

@@ -136,7 +136,7 @@ def reflection_from_gram(gram: Matrix, i: int) -> Matrix:
     family is the special case Q_ij = -n/2.
     """
     m = gram.nrows
-    if not 1 <= i <= m:
+    if i not in range(1, m + 1):
         raise IndexError(f"generator index {i} out of range 1..{m}")
     rows = [list(r) for r in Matrix.identity(m).rows]
     rows[i - 1] = [(Fraction(int(j == i - 1)) - 2 * gram.rows[i - 1][j])
@@ -152,14 +152,14 @@ def dual_reflection_from_gram(gram: Matrix, i: int) -> Matrix:
 class CoxeterSystem:
     """The rank-m reflection group of the (n, m) family.
 
-    The pair n >= 1, m >= 2 (else ``ValueError``) fixes every datum.  The
-    Gram matrix has 1 on the diagonal and -n/2 off it; for n = 1 the
-    products of two distinct generators have order 3, for n >= 2 infinite
-    order (the group is then a free product of m copies of Z/2Z).
+    The pair of ints n >= 1, m >= 2 (else ``ValueError``; a bool is no
+    int here) fixes every datum.  The Gram matrix has 1 on the diagonal and
+    -n/2 off it; for n = 1 the products of two distinct generators have
+    order 3, for n >= 2 infinite order (a free product of m copies of Z/2Z).
     """
 
     def __init__(self, n: int, m: int):
-        if n < 1 or m < 2:
+        if not (type(n) is type(m) is int and n >= 1 and m >= 2):
             raise ValueError(f"need n >= 1 and m >= 2, got ({n}, {m})")
         self.n = n
         self.m = m

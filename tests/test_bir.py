@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxmov import atlas
+from coxmov import atlas, bir
 from coxmov.atlas import (classify, enumerate_chambers, reduced_words,
                           word_matrix)
 from coxmov.bir import (BudgetError, GroupElementNF, PairClass, PsiWord,
@@ -142,6 +142,20 @@ def test_normal_form_matches_matrix():
             w = PsiWord(letters)
             nf = t_normal_form(s, w)
             assert nf.matrix(s) == psi_word_matrix(s, w)
+
+
+def test_psi_word_matrix_forms_one_psi_matrix_per_syllable(monkeypatch):
+    # psi_12^3 psi_13^-2: psi_{1,2} cubed and psi_{3,1} squared, no inverse
+    calls = []
+
+    def counted(s, i, j):
+        calls.append((i, j))
+        return psi_matrix(s, i, j)
+
+    monkeypatch.setattr(bir, "psi_matrix", counted)
+    word = PsiWord([(1, 2, 3), (1, 3, -2)])
+    assert psi_word_matrix(S23, word) == t_normal_form(S23, word).matrix(S23)
+    assert calls == [(1, 2), (3, 1)]
 
 
 def test_normal_form_homomorphism():

@@ -973,6 +973,16 @@ def test_symmetric_suite_reads_the_production_walk(monkeypatch):
     assert checks.run_suites("symmetric")["passed"]
 
 
+def test_boundary_suite_checks_quadratic_values_without_lifting(monkeypatch):
+    # eigen-pair and shrinking-cones multiply the rational matrices by the
+    # Q(sqrt(d)) vectors as they are, with no Matrix.map(QuadExt) copy
+    def refuse(self, f):
+        raise AssertionError("Matrix.map called")
+
+    monkeypatch.setattr(Matrix, "map", refuse)
+    assert checks.run_suites("boundary", 3, 4)["passed"]
+
+
 def test_cli_viewport_and_palette(capsys):
     code, out, _ = run_cli(capsys, "chambers", "--n", "2", "--m", "3",
                            "--depth", "2", "--format", "svg")

@@ -500,7 +500,7 @@ def test_verify_all_product_count(monkeypatch):
     from coxmov.checks import run_suites
     products = count_calls(monkeypatch, linalg, "_product")
     assert run_suites("all")["passed"]
-    assert len(products) <= 4225
+    assert len(products) <= 4114
 
 
 @st.composite

@@ -9,10 +9,11 @@ import pytest
 
 from coxmov import bir, checks, cli
 from coxmov.atlas import classify
-from coxmov.bir import EigenPair, MAX_RADICAND_N, eigen_pair, psi_matrix
+from coxmov.bir import (EigenPair, MAX_RADICAND_N, eigen_pair, flop_pullback,
+                        psi_matrix)
 from coxmov.checks import run_suites
 from coxmov.cli import main
-from coxmov.coxeter import Permutation, build_system
+from coxmov.coxeter import Permutation, build_system, reflection_from_gram
 from coxmov.exact import QuadExt, sqrt_exact
 from coxmov.linalg import Matrix, dot
 from coxmov.svgplot import fnum
@@ -72,6 +73,22 @@ REFUSALS = [
                  "svg coordinate nan is not finite", id="svg-coordinate"),
     pytest.param(lambda: eigen_pair(build_system(10 ** 20 + 1, 3), 1, 2),
                  ValueError, RADICAND_REFUSAL, id="eigen-radicand"),
+    # a non-integer index or parameter is refused, not read as a position
+    pytest.param(lambda: eigen_pair(build_system(3, 3), 1.5, 2), IndexError,
+                 "generator index out of range 1..3",
+                 id="eigen-index-non-integer"),
+    pytest.param(lambda: build_system(2.5, 3), ValueError,
+                 "need n >= 1 and m >= 2, got (2.5, 3)", id="system-float-n"),
+    pytest.param(lambda: build_system(True, 3), ValueError,
+                 "need n >= 1 and m >= 2, got (True, 3)", id="system-bool-n"),
+    pytest.param(lambda: psi_matrix(S23, 1.5, 2), IndexError,
+                 "generator index out of range 1..3",
+                 id="psi-index-non-integer"),
+    pytest.param(lambda: flop_pullback(S23, 0.5, 2), IndexError,
+                 "model index out of range 0..3", id="flop-index-non-integer"),
+    pytest.param(lambda: reflection_from_gram(S23.gram, 1.5), IndexError,
+                 "generator index 1.5 out of range 1..3",
+                 id="reflection-index-non-integer"),
 ]
 
 
