@@ -128,13 +128,17 @@ def classify(sys: CoxeterSystem, coords, max_steps: int = DEFAULT_MAX_STEPS) -> 
     Interior points of the tiled cone reach all-nonnegative coordinates in
     exactly the word length of their chamber; points outside oscillate and
     hit the step cap, which raises ``ClassificationError``.  A negative
-    cap raises ``ValueError``.
+    cap raises ``ValueError``, a non-int cap or a float class ``TypeError``.
     """
     _require_infinite_order(sys)
+    if type(max_steps) is not int:
+        raise TypeError(f"max_steps must be an int, got {max_steps!r}")
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     vec, denom = list(coords), 1
     if set(map(type, vec)) != {int}:
+        if any(isinstance(x, float) for x in vec):
+            raise TypeError("exact classes do not accept floats")
         vec = [Fraction(x) for x in vec]
         denom = lcm(*(x.denominator for x in vec))
         vec = [x.numerator * (denom // x.denominator) for x in vec]

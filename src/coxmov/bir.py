@@ -10,9 +10,10 @@ t-letters and the image list of the running permutation; ``_peel``
 peels a t-word in one pass, renaming letters through a permutation, and
 returns the residual marking with the psi-letters: ``psi_from_t`` keeps
 the letters, ``atlas.classify`` both.
-Word-level operations reject n = 1, where the braid relation
-(t_i t_j)^3 = 1 breaks free reduction; the matrices themselves are fine
-for any n.
+Indices pass ``coxeter._index``; ``t_normal_form`` runs in every classify,
+so it tests inline and calls the rule only to fail.  Word-level operations
+reject n = 1, where the braid relation (t_i t_j)^3 = 1 breaks free
+reduction; the matrices themselves are fine for any n.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from math import gcd
 from operator import mul
 from typing import NamedTuple
 
-from .coxeter import CoxeterSystem, Permutation, perm_matrix
+from .coxeter import CoxeterSystem, Permutation, _index, perm_matrix
 from .exact import QuadExt, squarefree_decompose
 from .linalg import Matrix, _primitive_pair
 
@@ -65,6 +66,8 @@ def reduced_walk(alphabet, inverse, step, start, depth: int):
     exceeds ``word_budget()``, at once at any depth: past 2^64 words, the
     lower bound 2^depth for 3+ letters stands in for the exact count.
     """
+    if type(depth) is not int:
+        raise TypeError(f"depth must be an int, got {depth!r}")
     if depth < 0:
         raise ValueError("negative depth")
     size, cap = len(alphabet), word_budget()
@@ -148,10 +151,7 @@ def flop_pullback(sys: CoxeterSystem, i: int, j: int) -> Matrix:
     t_j * P(cycle(i+1..j))^{-1}, for i > j it is t_{j+1} * P(cycle(j+1..i)).
     """
     m = sys.m
-    if i not in range(m + 1) or j not in range(m + 1):
-        raise IndexError(f"model index out of range 0..{m}")
-    if i == j:
-        raise ValueError("flop needs two distinct models")
+    _index(m, i, j, lo=0, what="model index")
     if i < j:
         cyc = Permutation.from_cycle(m, range(i + 1, j + 1)).inverse()
         return sys.t(j) * perm_matrix(cyc)
@@ -164,10 +164,7 @@ def psi_matrix(sys: CoxeterSystem, i: int, j: int) -> Matrix:
     t_i * t_j * t_i * P(i j).  Valid for either order of the indices;
     psi_{j,i} is the inverse of psi_{i,j}."""
     m = sys.m
-    if i not in range(1, m + 1) or j not in range(1, m + 1):
-        raise IndexError(f"generator index out of range 1..{m}")
-    if i == j:
-        raise ValueError("generator needs two distinct indices")
+    _index(m, i, j)
     swap = perm_matrix(Permutation.transposition(m, i, j))
     return sys.t(i) * sys.t(j) * sys.t(i) * swap
 
@@ -308,8 +305,8 @@ def t_normal_form(sys: CoxeterSystem, word: PsiWord) -> GroupElementNF:
     m = sys.m
     letters, images = [], list(range(1, m + 1))
     for (i, j, e) in word.letters:
-        if not (1 <= i <= m and 1 <= j <= m):
-            raise IndexError(f"generator index out of range 1..{m}")
+        if not (type(i) is type(j) is int and 1 <= i <= m and 1 <= j <= m):
+            _index(m, i, j)
         a, b = (i - 1, j - 1) if e > 0 else (j - 1, i - 1)
         for _ in range(abs(e)):
             letters += (images[a], images[b], images[a])
@@ -364,8 +361,8 @@ def psi_from_t(sys: CoxeterSystem, letters) -> PsiWord:
     """
     _require_infinite_order(sys)
     letters = tuple(letters)
-    if letters and not (1 <= min(letters) and max(letters) <= sys.m):
-        raise IndexError(f"t-letter out of range 1..{sys.m}")
+    for x in letters:
+        _index(sys.m, x, what="t-letter")
     return PsiWord(_peel(free_reduce(letters), sys.m)[0])
 
 
@@ -451,11 +448,8 @@ def eigen_pair(sys: CoxeterSystem, i: int, j: int):
     lambda = (n^2 - 2 + n*s*sqrt(d))/2 > 1 of x^2 - (n^2 - 2)x + 1 and the
     primitive form of its ``_eigen_vectors`` vector; for n = 2 and n = 1
     the matching PairClass marker (unipotent, finite order)."""
-    if i == j:
-        raise ValueError("need two distinct indices")
     n, m = sys.n, sys.m
-    if i not in range(1, m + 1) or j not in range(1, m + 1):
-        raise IndexError(f"generator index out of range 1..{m}")
+    _index(m, i, j)
     if n == 1:
         return PairClass.FINITE_ORDER
     if n == 2:

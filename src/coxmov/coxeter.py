@@ -18,7 +18,8 @@ behind ``CoxeterSystem.t`` and every t-word listing.  These matrices have
 determinant +-1, so their columns are primitive rays.
 
 Interfaces are 1-based throughout, matching the hyperplane classes
-H_1, ..., H_m; storage is 0-based internally.
+H_1, ..., H_m; storage is 0-based internally.  Every index taken here or
+in ``bir`` passes ``_index``, the one rule (see ``bir`` for its fast path).
 """
 
 from __future__ import annotations
@@ -32,19 +33,29 @@ from typing import NamedTuple
 from .linalg import Matrix
 
 
+def _index(hi: int, *indices, lo: int = 1, what: str = "generator index"):
+    """The one index rule: each an int (not a bool) in lo..hi, none twice."""
+    for k, i in enumerate(indices):
+        if type(i) is not int or not lo <= i <= hi:
+            raise IndexError(f"{what} {i!r} out of range {lo}..{hi}")
+        if i in indices[:k]:
+            raise ValueError(f"{what} {i!r} given twice")
+
+
 class Permutation(NamedTuple("Permutation", [("images", tuple[int, ...])])):
     """A permutation of {1, ..., m}, stored by its tuple of images.
 
     An immutable named tuple of one field; ``*`` is composition, not tuple
     repetition, and the constructor refuses a tuple that is not a
-    permutation of 1..m.
+    permutation of 1..m by ints.
     """
 
     __slots__ = ()
 
     def __new__(cls, images: tuple[int, ...]) -> "Permutation":
         m = len(images)
-        if sorted(images) != list(range(1, m + 1)):
+        if (any(type(x) is not int for x in images)
+                or sorted(images) != list(range(1, m + 1))):
             raise ValueError(f"not a permutation of 1..{m}: {images}")
         return cls._of(images)
 
@@ -67,12 +78,11 @@ class Permutation(NamedTuple("Permutation", [("images", tuple[int, ...])])):
     def from_cycle(m: int, cycle) -> "Permutation":
         """The cycle (c1 c2 ... ck): maps c1 -> c2 -> ... -> ck -> c1."""
         cycle = list(cycle)
-        if len(set(cycle)) != len(cycle):
-            raise ValueError("repeated entry in cycle")
+        _index(m, *cycle, what="cycle entry")
         imgs = list(range(1, m + 1))
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             imgs[a - 1] = b
-        return Permutation(tuple(imgs))
+        return Permutation._of(tuple(imgs))
 
     @property
     def degree(self) -> int:
@@ -136,8 +146,7 @@ def reflection_from_gram(gram: Matrix, i: int) -> Matrix:
     family is the special case Q_ij = -n/2.
     """
     m = gram.nrows
-    if i not in range(1, m + 1):
-        raise IndexError(f"generator index {i} out of range 1..{m}")
+    _index(m, i)
     rows = [list(r) for r in Matrix.identity(m).rows]
     rows[i - 1] = [(Fraction(int(j == i - 1)) - 2 * gram.rows[i - 1][j])
                    for j in range(m)]
@@ -183,8 +192,7 @@ class CoxeterSystem:
     def t(self, i: int) -> Matrix:
         """Generator matrix in the dual basis: ``_t_step`` on the
         identity's columns (see the module docstring)."""
-        if i not in range(1, self.m + 1):
-            raise IndexError(f"generator index {i} out of range 1..{self.m}")
+        _index(self.m, i)
         if i not in self._dual_cache:
             self._dual_cache[i] = Matrix.from_columns(
                 _t_step(self.n, _identity_columns(self.m), i))
@@ -216,17 +224,11 @@ class CoxeterSystem:
         matrix: 1 + n/2 on the differences e_1 - e_i, and 1 - n(m-1)/2 on
         the all-ones vector."""
         n, m = self.n, self.m
-        lam1 = 1 + Fraction(n, 2)
-        lam2 = 1 - Fraction(n * (m - 1), 2)
-        ones = tuple(Fraction(1) for _ in range(m))
-        if self.gram * ones != tuple(lam2 * x for x in ones):
-            return False
-        for i in range(2, m + 1):
-            v = tuple(Fraction(1) if k == 1 else (Fraction(-1) if k == i else Fraction(0))
-                      for k in range(1, m + 1))
-            if self.gram * v != tuple(lam1 * x for x in v):
-                return False
-        return True
+        pairs = [(1 - Fraction(n * (m - 1), 2), (1,) * m)] + [
+            (1 + Fraction(n, 2), tuple((k == 0) - (k == i) for k in range(m)))
+            for i in range(1, m)]
+        return all(self.gram * v == tuple(lam * x for x in v)
+                   for lam, v in pairs)
 
 
 def build_system(n: int, m: int, enforce_dimension_bound: bool = False) -> CoxeterSystem:

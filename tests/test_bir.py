@@ -243,7 +243,8 @@ def test_one_pass_normal_form_matches_letter_products(case):
 @pytest.mark.parametrize("e", [1, -1])
 def test_normal_form_rejects_out_of_range_indices(pair, e):
     i, j = pair
-    msg = "^generator index out of range 1..3$"
+    bad = i if i not in (1, 2, 3) else j
+    msg = f"^generator index {bad} out of range 1..3$"
     for word in (PsiWord(((i, j, e),)),
                  PsiWord(((1, 2, 1), (i, j, e)))):
         with pytest.raises(IndexError, match=msg):

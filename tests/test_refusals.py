@@ -8,17 +8,22 @@ from fractions import Fraction
 import pytest
 
 from coxmov import bir, checks, cli
-from coxmov.atlas import classify
-from coxmov.bir import (EigenPair, MAX_RADICAND_N, eigen_pair, flop_pullback,
-                        psi_matrix)
+from coxmov.atlas import (boundary_patches, classify, enumerate_chambers,
+                          word_matrix)
+from coxmov.bir import (EigenPair, MAX_RADICAND_N, PsiWord, eigen_pair,
+                        flop_pullback, psi_from_t, psi_matrix, t_normal_form,
+                        verify_free)
 from coxmov.checks import run_suites
 from coxmov.cli import main
-from coxmov.coxeter import Permutation, build_system, reflection_from_gram
+from coxmov.coxeter import (Permutation, build_system,
+                            dual_reflection_from_gram, reflection_from_gram)
 from coxmov.exact import QuadExt, sqrt_exact
 from coxmov.linalg import Matrix, dot
 from coxmov.svgplot import fnum
+from coxmov.symmetric import psef_patches, sym_enumerate
 
 S23 = build_system(2, 3)
+S33 = build_system(3, 3)
 RADICAND_REFUSAL = (f"eigenvector data needs n <= {10 ** 20}: the radicands "
                     "n - 2 and n + 2 are factored by trial division to their "
                     "cube roots")
@@ -28,11 +33,11 @@ REFUSALS = [
     pytest.param(lambda: classify(S23, (1, 2)), ValueError,
                  "expected 3 coordinates", id="classify-length"),
     pytest.param(lambda: psi_matrix(S23, 2, 2), ValueError,
-                 "generator needs two distinct indices", id="psi-same-index"),
+                 "generator index 2 given twice", id="psi-same-index"),
     pytest.param(lambda: run_suites("nope"), ValueError,
                  "unknown suite 'nope'", id="unknown-suite"),
     pytest.param(lambda: Permutation.from_cycle(3, (1, 2, 1)), ValueError,
-                 "repeated entry in cycle", id="cycle-repeat"),
+                 "cycle entry 1 given twice", id="cycle-repeat"),
     pytest.param(lambda: Permutation.identity(3) * Permutation.identity(4),
                  ValueError, "degree mismatch", id="perm-degree"),
     pytest.param(lambda: S23.t(0), IndexError,
@@ -41,7 +46,7 @@ REFUSALS = [
                  "generator index 1.5 out of range 1..3",
                  id="t-index-non-integer"),
     pytest.param(lambda: Permutation.transposition(3, 2, 2), ValueError,
-                 "repeated entry in cycle", id="transposition-repeat"),
+                 "cycle entry 2 given twice", id="transposition-repeat"),
     pytest.param(lambda: QuadExt(1, 1, -2), ValueError,
                  "negative radicand", id="quadext-radicand"),
     pytest.param(lambda: QuadExt(0).inverse(), ZeroDivisionError,
@@ -75,20 +80,50 @@ REFUSALS = [
                  ValueError, RADICAND_REFUSAL, id="eigen-radicand"),
     # a non-integer index or parameter is refused, not read as a position
     pytest.param(lambda: eigen_pair(build_system(3, 3), 1.5, 2), IndexError,
-                 "generator index out of range 1..3",
+                 "generator index 1.5 out of range 1..3",
                  id="eigen-index-non-integer"),
     pytest.param(lambda: build_system(2.5, 3), ValueError,
                  "need n >= 1 and m >= 2, got (2.5, 3)", id="system-float-n"),
     pytest.param(lambda: build_system(True, 3), ValueError,
                  "need n >= 1 and m >= 2, got (True, 3)", id="system-bool-n"),
     pytest.param(lambda: psi_matrix(S23, 1.5, 2), IndexError,
-                 "generator index out of range 1..3",
+                 "generator index 1.5 out of range 1..3",
                  id="psi-index-non-integer"),
     pytest.param(lambda: flop_pullback(S23, 0.5, 2), IndexError,
-                 "model index out of range 0..3", id="flop-index-non-integer"),
+                 "model index 0.5 out of range 0..3",
+                 id="flop-index-non-integer"),
     pytest.param(lambda: reflection_from_gram(S23.gram, 1.5), IndexError,
                  "generator index 1.5 out of range 1..3",
                  id="reflection-index-non-integer"),
+    # a depth or a step cap is an int, a bool included in the refusal
+    pytest.param(lambda: enumerate_chambers(S23, True), TypeError,
+                 "depth must be an int, got True", id="chambers-depth-bool"),
+    pytest.param(lambda: enumerate_chambers(S23, 2.0), TypeError,
+                 "depth must be an int, got 2.0", id="chambers-depth-float"),
+    pytest.param(lambda: boundary_patches(S33, 1.5), TypeError,
+                 "depth must be an int, got 1.5", id="boundary-depth-float"),
+    pytest.param(lambda: verify_free(S23, 2.0), TypeError,
+                 "depth must be an int, got 2.0", id="free-depth-float"),
+    pytest.param(lambda: sym_enumerate(2.0), TypeError,
+                 "depth must be an int, got 2.0", id="symmetric-depth-float"),
+    pytest.param(lambda: psef_patches(True), TypeError,
+                 "depth must be an int, got True", id="psef-depth-bool"),
+    pytest.param(lambda: classify(S23, (1, 2, 3), max_steps=1.5), TypeError,
+                 "max_steps must be an int, got 1.5",
+                 id="classify-max-steps-float"),
+    pytest.param(lambda: classify(S23, (1, 2, 3), max_steps=True), TypeError,
+                 "max_steps must be an int, got True",
+                 id="classify-max-steps-bool"),
+    # exact inputs stay exact
+    pytest.param(lambda: classify(S23, (0.1, 2, 3)), TypeError,
+                 "exact classes do not accept floats", id="classify-float"),
+    pytest.param(lambda: classify(S23, (Fraction(1, 2), 2.0, 3)), TypeError,
+                 "exact classes do not accept floats",
+                 id="classify-integral-float"),
+    pytest.param(lambda: Permutation((1.0, 2, 3)), ValueError,
+                 "not a permutation of 1..3: (1.0, 2, 3)", id="perm-float"),
+    pytest.param(lambda: Permutation((True, 2)), ValueError,
+                 "not a permutation of 1..2: (True, 2)", id="perm-bool"),
 ]
 
 
@@ -97,6 +132,78 @@ def test_refusal(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
+
+
+# Every entry point that takes an index of the (3, 3) system, as a call
+# on the index x, with the rule's name for it and its lower bound (the
+# upper bound is m = 3); a second index, where one is taken, is 3.
+INDEX_ENTRY_POINTS = [
+    pytest.param(lambda x: build_system(3, 3).t(x), "generator index", 1,
+                 id="t"),
+    pytest.param(lambda x: S33.tau(x), "generator index", 1, id="tau"),
+    pytest.param(lambda x: reflection_from_gram(S33.gram, x),
+                 "generator index", 1, id="reflection_from_gram"),
+    pytest.param(lambda x: dual_reflection_from_gram(S33.gram, x),
+                 "generator index", 1, id="dual_reflection_from_gram"),
+    pytest.param(lambda x: psi_matrix(S33, x, 3), "generator index", 1,
+                 id="psi_matrix-i"),
+    pytest.param(lambda x: psi_matrix(S33, 3, x), "generator index", 1,
+                 id="psi_matrix-j"),
+    pytest.param(lambda x: flop_pullback(S33, x, 3), "model index", 0,
+                 id="flop_pullback-i"),
+    pytest.param(lambda x: flop_pullback(S33, 3, x), "model index", 0,
+                 id="flop_pullback-j"),
+    pytest.param(lambda x: eigen_pair(S33, x, 3), "generator index", 1,
+                 id="eigen_pair-i"),
+    pytest.param(lambda x: eigen_pair(S33, 3, x), "generator index", 1,
+                 id="eigen_pair-j"),
+    pytest.param(lambda x: psi_from_t(S33, (3, x)), "t-letter", 1,
+                 id="psi_from_t"),
+    pytest.param(lambda x: Permutation.from_cycle(3, (3, x)), "cycle entry", 1,
+                 id="from_cycle"),
+    pytest.param(lambda x: Permutation.transposition(3, 3, x), "cycle entry",
+                 1, id="transposition"),
+    pytest.param(lambda x: word_matrix(S33, (3, x)), "generator index", 1,
+                 id="word_matrix"),
+    pytest.param(lambda x: t_normal_form(S33, PsiWord(((3, x, 1),))),
+                 "generator index", 1, id="t_normal_form"),
+]
+
+
+@pytest.mark.parametrize("x", [None, 4, 2.0, Fraction(2), True],
+                         ids=["below", "above", "float", "fraction", "bool"])
+@pytest.mark.parametrize("call, what, lo", INDEX_ENTRY_POINTS)
+def test_index_rule(call, what, lo, x):
+    x = lo - 1 if x is None else x
+    with pytest.raises(IndexError) as info:
+        call(x)
+    assert str(info.value) == f"{what} {x!r} out of range {lo}..3"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: psi_matrix(S33, 3, 3), "generator index 3 given twice"),
+    (lambda: eigen_pair(S33, 2, 2), "generator index 2 given twice"),
+    (lambda: flop_pullback(S33, 0, 0), "model index 0 given twice"),
+    (lambda: Permutation.from_cycle(3, (1, 3, 2, 3)),
+     "cycle entry 3 given twice"),
+], ids=["psi_matrix", "eigen_pair", "flop_pullback", "from_cycle"])
+def test_index_rule_refuses_a_repeated_index(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_index_rule_lets_t_letters_repeat():
+    assert psi_from_t(S33, (1, 1, 2)) == psi_from_t(S33, (2,))
+
+
+def test_t_refuses_a_float_index_after_its_int_is_cached():
+    s = build_system(3, 3)
+    assert s.t(1) == S33.t(1)
+    for call in (lambda: s.t(1.0), lambda: word_matrix(s, (1.0,))):
+        with pytest.raises(IndexError) as info:
+            call()
+        assert str(info.value) == "generator index 1.0 out of range 1..3"
 
 
 def test_quadext_hash_matches_equal_rational():
